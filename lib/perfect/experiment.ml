@@ -108,7 +108,9 @@ let time_run ?(repeat = 1) ~threads program =
 
 type measure_mode = [ `Measured | `Projected | `Auto ]
 
-let fork_cost = 10e-6 (* pool dispatch cost per parallel loop execution *)
+(* Cost of one fork in the Amdahl model: a model constant, not a
+   measurement (DESIGN.md, "Fork cost", has the measured one). *)
+let fork_cost = 10e-6
 
 (* Which directive loops actually fork at run time?  Loops nested in a
    parallel region (statically or through calls) never fork; a profile of

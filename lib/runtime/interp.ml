@@ -75,6 +75,10 @@ type global = {
   out_mutex : Mutex.t;
   threads : int;
   pool : Pool.t;
+  chunk_fstks : float array array;
+      (** one scratch stack per chunk index of a fork ([threads] of
+          them), reused by every fork: a fork's chunks run concurrently,
+          forks never overlap *)
   code_cache : (string, cstmt array) Hashtbl.t;  (** compiled unit bodies *)
   cenvs : (string, cenv) Hashtbl.t;
       (** per-unit compile environments; populated during the up-front
@@ -119,7 +123,8 @@ and frame = {
   fstk : float array;
       (** per-domain scratch stack: float expressions evaluate into slots
           instead of returning (boxed) floats.  Shared down the call
-          chain; workers get their own. *)
+          chain; each chunk of a fork gets its own from
+          [glb.chunk_fstks]. *)
 }
 
 and cstmt = frame -> unit
@@ -1014,6 +1019,12 @@ and compile_loop (env : cenv) (l : Ast.do_loop) : cstmt =
   let fstep = compile_int env l.step in
   let fbody = compile_stmts env l.body in
   let touches = lazy (touch_names env.ce_program l.body) in
+  let label =
+    if l.parallel = None then ""
+    else
+      Printf.sprintf "parallel loop %d of unit %s" l.loop_id
+        env.ce_unit.Ast.u_name
+  in
   let res_idx = resolver env l.index in
   let run_seq fr lo hi step =
     let idx = res_idx fr in
@@ -1058,7 +1069,8 @@ and compile_loop (env : cenv) (l : Ast.do_loop) : cstmt =
     in
     (match l.parallel with
     | Some omp when (not fr.in_parallel) && fr.glb.threads > 1 ->
-        exec_parallel fr l omp fbody (Lazy.force touches) ~lo ~hi ~step
+        exec_parallel fr l omp fbody (Lazy.force touches) ~label ~lo ~hi
+          ~step
     | _ -> run_seq fr lo hi step);
     match fr.glb.profile with
     | Some tbl when profiled -> (
@@ -1070,8 +1082,8 @@ and compile_loop (env : cenv) (l : Ast.do_loop) : cstmt =
         | None -> Hashtbl.replace tbl l.loop_id { pt = dt; pn = 1 })
     | _ -> ()
 
-and exec_parallel fr (l : Ast.do_loop) (omp : Ast.omp) fbody touches ~lo ~hi
-    ~step =
+and exec_parallel fr (l : Ast.do_loop) (omp : Ast.omp) fbody touches ~label
+    ~lo ~hi ~step =
   let niter =
     if step > 0 then max 0 (((hi - lo) / step) + 1)
     else max 0 (((lo - hi) / -step) + 1)
@@ -1087,10 +1099,20 @@ and exec_parallel fr (l : Ast.do_loop) (omp : Ast.omp) fbody touches ~lo ~hi
         | Some _ -> ()
         | None -> ignore (lookup fr name))
       touches;
+    (* Everything a worker privatizes is resolved here, on the calling
+       domain.  A PRIVATE name the body never mentions (a COMMON
+       temporary only a callee writes) is missing from [touches], and
+       resolving it from the workers would have [lookup_slow] insert it
+       into the parent's [vars] from several domains at once.  Workers
+       only read the parent frame. *)
+    let priv_base =
+      List.map (fun name -> (name, lookup fr name)) omp.omp_private
+    in
+    let idx_base = lookup fr l.index in
     let red_base =
       List.map (fun (op, name) -> (op, name, lookup fr name)) omp.omp_reductions
     in
-    let merge_mutex = Mutex.create () in
+    let merge_mutex = if red_base = [] then None else Some (Mutex.create ()) in
     let worker w =
       let per = (niter + nw - 1) / nw in
       let first = w * per and last = min niter ((w + 1) * per) in
@@ -1098,14 +1120,13 @@ and exec_parallel fr (l : Ast.do_loop) (omp : Ast.omp) fbody touches ~lo ~hi
       else begin
         let priv_tbl = Hashtbl.create 8 in
         let st_over = ref fr.st_overrides in
-        let mk_private name =
-          let orig = lookup fr name in
+        let mk_private (name, orig) =
           let p = fresh_like orig in
           Hashtbl.replace priv_tbl name p;
           st_over := (orig.st, p) :: !st_over
         in
-        List.iter mk_private omp.omp_private;
-        mk_private l.index;
+        List.iter mk_private priv_base;
+        mk_private (l.index, idx_base);
         List.iter
           (fun (op, name, view) ->
             let p = fresh_like view in
@@ -1135,38 +1156,37 @@ and exec_parallel fr (l : Ast.do_loop) (omp : Ast.omp) fbody touches ~lo ~hi
                through the override stack, not reuse the parent's cached
                shared views *)
             slots = Array.make (Array.length fr.slots) unresolved;
-            fstk = Array.make fstk_size 0.0;
+            fstk = fr.glb.chunk_fstks.(w);
           }
         in
-        List.iter
-          (fun n -> Hashtbl.remove wfr.vars n)
-          (l.index :: omp.omp_private);
+        List.iter (fun (n, _) -> Hashtbl.remove wfr.vars n) priv_base;
+        Hashtbl.remove wfr.vars l.index;
         List.iter (fun (_, n, _) -> Hashtbl.remove wfr.vars n) red_base;
         let idx = Hashtbl.find priv_tbl l.index in
         for k = first to last - 1 do
           elem_set_i idx 0 (lo + (k * step));
           run_code fbody wfr
         done;
-        Mutex.lock merge_mutex;
-        List.iter
-          (fun (op, name, view) ->
-            ignore name;
-            let p = Hashtbl.find priv_tbl name in
-            let cur = get view [] and mine = get p [] in
-            let merged =
-              match op with
-              | Ast.Rsum -> arith Ast.Add cur mine
-              | Ast.Rprod -> arith Ast.Mul cur mine
-              | Ast.Rmax -> if to_float mine > to_float cur then mine else cur
-              | Ast.Rmin -> if to_float mine < to_float cur then mine else cur
-            in
-            set view [] merged)
-          red_base;
-        Mutex.unlock merge_mutex
+        match merge_mutex with
+        | None -> ()
+        | Some m ->
+            Mutex.protect m (fun () ->
+                List.iter
+                  (fun (op, name, view) ->
+                    let p = Hashtbl.find priv_tbl name in
+                    let cur = get view [] and mine = get p [] in
+                    let merged =
+                      match op with
+                      | Ast.Rsum -> arith Ast.Add cur mine
+                      | Ast.Rprod -> arith Ast.Mul cur mine
+                      | Ast.Rmax ->
+                          if to_float mine > to_float cur then mine else cur
+                      | Ast.Rmin ->
+                          if to_float mine < to_float cur then mine else cur
+                    in
+                    set view [] merged)
+                  red_base)
       end
-    in
-    let label =
-      Printf.sprintf "parallel loop %d of unit %s" l.loop_id fr.unit_.u_name
     in
     (try Pool.parallel_for ~label fr.glb.pool ~chunks:nw worker
      with Pool.Worker_failure (lbl, e) -> (
@@ -1182,8 +1202,7 @@ and exec_parallel fr (l : Ast.do_loop) (omp : Ast.omp) fbody touches ~lo ~hi
                    (Printf.sprintf "%s (in %s)" d.Diag.d_message lbl)))
        | Runtime_error m -> rerror "%s (in %s)" m lbl
        | e -> rerror "worker died in %s: %s" lbl (Printexc.to_string e)));
-    let idx = lookup fr l.index in
-    elem_set_i idx 0 (lo + (niter * step))
+    elem_set_i idx_base 0 (lo + (niter * step))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1422,6 +1441,8 @@ let run_program_state ?(threads = 1) ?profile ?fuel
           out_mutex = Mutex.create ();
           threads;
           pool;
+          chunk_fstks =
+            Array.init (max 0 threads) (fun _ -> Array.make fstk_size 0.0);
           code_cache = Hashtbl.create 16;
           cenvs = Hashtbl.create 16;
           params_const_cache = Hashtbl.create 16;

@@ -9,6 +9,18 @@
     (the interpreter runs nested parallel loops sequentially), so a single
     job slot suffices.
 
+    The handoff spins, then parks, on both sides.  A worker between jobs
+    polls the atomic job generation and stop flag for up to
+    {!spin_limit} [Domain.cpu_relax] calls before it waits on [cv_job],
+    so [shutdown] also stops a spinning worker at once; the caller,
+    done with its own chunks, polls the job's atomic finished-chunk count
+    as long before it waits on [cv_done].  Emitted programs fork tens of
+    thousands of short loops a run, back to back, so the next job (or the
+    last chunk) usually arrives inside the spin window and neither side
+    pays a futex wake-up.  A side that does park is still woken: the
+    generation and the finished count only change under [m], and both
+    sides re-check them under [m] before waiting, so no wake-up is lost.
+
     Failure containment is layered:
 
     - Every chunk keeps its own failure capture (with the raw backtrace),
@@ -70,13 +82,16 @@ type job = {
   j_retries : int;
   j_backoff : float;
   j_transient : exn -> bool;
-  j_track : bool;  (** maintain [j_running] (only needed with a deadline) *)
   mutable j_next : int;
-  mutable j_finished : int;
+  j_finished : int Atomic.t;
+      (** written under [m]; the caller also polls it without [m] while
+          it spins *)
   mutable j_abandoned : bool;
   mutable j_failure : (exn * Printexc.raw_backtrace) option;
   mutable j_events : event list;  (** newest first *)
-  j_running : (int, unit) Hashtbl.t;  (** chunks currently executing *)
+  j_running : (int, unit) Hashtbl.t option;
+      (** chunks currently executing; kept only when a deadline is armed,
+          for the watchdog's report *)
 }
 
 type t = {
@@ -84,8 +99,10 @@ type t = {
   cv_job : Condition.t;  (** signaled when a new job is published *)
   cv_done : Condition.t;  (** signaled when the last chunk finishes *)
   mutable job : job option;
-  mutable generation : int;
-  mutable stop : bool;
+  generation : int Atomic.t;
+      (** bumped under [m] with each published job; idle workers poll it
+          without [m] while they spin *)
+  stop : bool Atomic.t;  (** set under [m]; polled like [generation] *)
   mutable closed : bool;  (** [shutdown] ran; [parallel_for] must refuse *)
   mutable workers : (int * unit Domain.t) list;  (** slot, domain *)
   mutable dead : int list;  (** slots awaiting respawn *)
@@ -97,6 +114,23 @@ type t = {
 }
 
 let now_s () = Int64.to_float (Frontend.Prof.monotonic_ns ()) /. 1e9
+
+(* Bound of each side's spin before it parks, in [Domain.cpu_relax]
+   calls.  On a 2-core Intel Xeon host a relax takes ~29 ns, so 2,000 is
+   ~58 us.  Sized by running the emitted programs of the 12 PERFECT
+   benchmarks (no inlining and conventional inlining) at 2 domains,
+   three rounds per bound: 500, 2,000, 5,000 and 20,000 gave medians
+   within the host's noise of each other (460-520 ms without inlining,
+   500-550 ms with conventional), while 0 took 650 and 890 ms. *)
+let spin_limit = 2_000
+
+(* Relax while [waiting ()] holds, at most [spin_limit] times. *)
+let spin waiting =
+  let n = ref spin_limit in
+  while !n > 0 && waiting () do
+    Domain.cpu_relax ();
+    decr n
+  done
 
 (* Live telemetry: queue wait vs execute time plus the self-healing
    counters, fed to the armed Metrics registry (no-ops otherwise). *)
@@ -145,10 +179,12 @@ let drain (p : t) (j : job) =
       let first = j.j_next in
       let last = min j.j_total (first + j.j_batch) in
       j.j_next <- last;
-      if j.j_track then
-        for c = first to last - 1 do
-          Hashtbl.replace j.j_running c ()
-        done;
+      (match j.j_running with
+      | Some running ->
+          for c = first to last - 1 do
+            Hashtbl.replace running c ()
+          done
+      | None -> ());
       Mutex.unlock p.m;
       for c = first to last - 1 do
         (* chaos: simulate a hung worker; the watchdog's deadline is the
@@ -199,43 +235,53 @@ let drain (p : t) (j : job) =
         end
       done;
       Mutex.lock p.m;
-      if j.j_track then
-        for c = first to last - 1 do
-          Hashtbl.remove j.j_running c
-        done;
-      j.j_finished <- j.j_finished + (last - first);
-      if j.j_finished >= j.j_total then Condition.broadcast p.cv_done;
+      (match j.j_running with
+      | Some running ->
+          for c = first to last - 1 do
+            Hashtbl.remove running c
+          done
+      | None -> ());
+      let n = last - first in
+      if Atomic.fetch_and_add j.j_finished n + n >= j.j_total then
+        Condition.broadcast p.cv_done;
       go ()
     end
   in
   go ()
 
 let worker_loop (p : t) (slot : int) () =
-  let my_generation = ref 0 in
+  (* the last generation this worker has seen, taken or not; a worker
+     respawned after the next job was published still takes it *)
+  let seen = ref 0 in
+  let idle () = (not (Atomic.get p.stop)) && Atomic.get p.generation = !seen in
   let continue_ = ref true in
   while !continue_ do
+    spin idle;
     Mutex.lock p.m;
-    while (not p.stop) && (p.job = None || p.generation = !my_generation) do
+    while idle () do
       Condition.wait p.cv_job p.m
     done;
-    if p.stop then begin
+    if Atomic.get p.stop then begin
       Mutex.unlock p.m;
       continue_ := false
     end
     else begin
-      my_generation := p.generation;
-      let j = Option.get p.job in
-      (* [drain] never raises, so a death can only come from the injected
-         worker fault point — exactly the "worker domain dies" scenario.
-         Record it for lazy respawn; the job completes via the remaining
-         participants (or the watchdog). *)
-      (match Frontend.Fault.point "runtime.pool.worker" with
-      | () -> drain p j
-      | exception e ->
-          p.n_deaths <- p.n_deaths + 1;
-          p.dead <- slot :: p.dead;
-          j.j_events <- Worker_died { slot; error = e } :: j.j_events;
-          continue_ := false);
+      seen := Atomic.get p.generation;
+      (match p.job with
+      | None -> () (* the job finished before this worker got to it *)
+      | Some j -> (
+          (* [drain] never raises, so a death can only come from the
+             injected worker fault point — exactly the "worker domain
+             dies" scenario.  Record it for lazy respawn; the job
+             completes via the remaining participants (or the
+             watchdog). *)
+          match Frontend.Fault.point "runtime.pool.worker" with
+          | () -> drain p j
+          | exception e ->
+              p.n_deaths <- p.n_deaths + 1;
+              p.dead <- slot :: p.dead;
+              j.j_events <- Worker_died { slot; error = e } :: j.j_events;
+              continue_ := false));
       Mutex.unlock p.m
     end
   done
@@ -247,8 +293,8 @@ let create n_threads : t =
       cv_job = Condition.create ();
       cv_done = Condition.create ();
       job = None;
-      generation = 0;
-      stop = false;
+      generation = Atomic.make 0;
+      stop = Atomic.make false;
       closed = false;
       workers = [];
       dead = [];
@@ -336,36 +382,42 @@ let parallel_for ?label ?deadline_s ?(retries = 0) ?(backoff_s = 0.002)
         j_retries = max 0 retries;
         j_backoff = backoff_s;
         j_transient = transient;
-        j_track = deadline_s <> None;
         j_next = 0;
-        j_finished = 0;
+        j_finished = Atomic.make 0;
         j_abandoned = false;
         j_failure = None;
         j_events = [];
-        j_running = Hashtbl.create 8;
+        j_running =
+          (if deadline_s = None then None else Some (Hashtbl.create 8));
       }
     in
+    let pending () = Atomic.get j.j_finished < j.j_total in
     Mutex.lock p.m;
     if use_workers then begin
       p.job <- Some j;
-      p.generation <- p.generation + 1;
+      Atomic.incr p.generation;
       Condition.broadcast p.cv_job
     end;
     let t0 = now_s () in
     if not watchdog then drain p j;
     (match deadline_s with
     | None ->
-        while j.j_finished < j.j_total do
-          Condition.wait p.cv_done p.m
-        done
+        if pending () then begin
+          Mutex.unlock p.m;
+          spin pending;
+          Mutex.lock p.m;
+          while pending () do
+            Condition.wait p.cv_done p.m
+          done
+        end
     | Some dl ->
         (* Condition has no timed wait; poll at 0.5ms, cheap against any
            realistic deadline and only while a deadline is armed. *)
-        while j.j_finished < j.j_total && not j.j_abandoned do
+        while pending () && not j.j_abandoned do
           Mutex.unlock p.m;
           Unix.sleepf 0.0005;
           Mutex.lock p.m;
-          if j.j_finished < j.j_total && now_s () -. t0 > dl then begin
+          if pending () && now_s () -. t0 > dl then begin
             j.j_abandoned <- true;
             let waited = now_s () -. t0 in
             let miss c =
@@ -375,7 +427,7 @@ let parallel_for ?label ?deadline_s ?(retries = 0) ?(backoff_s = 0.002)
               Frontend.Metrics.incr m_deadline_misses;
               p.n_deadline_misses <- p.n_deadline_misses + 1
             in
-            Hashtbl.iter (fun c () -> miss c) j.j_running;
+            Option.iter (Hashtbl.iter (fun c () -> miss c)) j.j_running;
             for c = j.j_next to j.j_total - 1 do
               miss c
             done;
@@ -417,7 +469,7 @@ let shutdown (p : t) =
   if p.closed then Mutex.unlock p.m
   else begin
     p.closed <- true;
-    p.stop <- true;
+    Atomic.set p.stop true;
     Condition.broadcast p.cv_job;
     Mutex.unlock p.m;
     List.iter (fun (_, d) -> Domain.join d) p.workers;

@@ -3,7 +3,8 @@
 
     Spawning a [Domain] per parallel loop costs hundreds of microseconds;
     the pool parks [n-1] workers once per program run and hands them chunk
-    indices per loop.  Use only from one domain at a time and never
+    indices per loop.  Both sides of that handoff spin briefly before
+    they park, so back-to-back short loops skip the futex wake-up.  Use only from one domain at a time and never
     reentrantly (the interpreter runs nested parallel loops sequentially,
     which guarantees both).
 

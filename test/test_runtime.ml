@@ -161,6 +161,69 @@ let test_parallel_nested_runs_sequential () =
   par_equals_seq
     "      PROGRAM T\n      DIMENSION C(32,32)\n      DO J = 1, 32\n        DO I = 1, 32\n          C(I,J) = I + J * 2\n        ENDDO\n      ENDDO\n      WRITE(6,*) C(32,32)\n      END\n"
 
+(* A PRIVATE COMMON temporary that only a callee touches is not among the
+   loop body's accesses, so nothing resolves it in SUB's fresh frame
+   before the fork.  Thousands of 2-iteration forks, each on a new SUB
+   frame with the temporaries unresolved, give the workers every chance
+   to race on that first resolution; forty of them push the frame's
+   name table through a resize while they do. *)
+let test_parallel_private_common_callee_only () =
+  let temps = List.init 40 (Printf.sprintf "T%d") in
+  let src =
+    String.concat ""
+      ([
+         "      PROGRAM T\n";
+         "      COMMON /R/ KACC(2)\n";
+         "      DO K = 1, 3000\n";
+         "        CALL SUB(K)\n";
+         "      ENDDO\n";
+         "      WRITE(6,*) KACC(1), KACC(2)\n";
+         "      END\n";
+         "      SUBROUTINE SUB(K)\n";
+         "      COMMON /W/ " ^ String.concat ", " temps ^ "\n";
+         "      DO I = 1, 2\n";
+         "        CALL WORK(I, K)\n";
+         "      ENDDO\n";
+         "      END\n";
+         "      SUBROUTINE WORK(I, K)\n";
+         "      COMMON /W/ " ^ String.concat ", " temps ^ "\n";
+         "      COMMON /R/ KACC(2)\n";
+       ]
+      @ List.mapi (fun j t -> Printf.sprintf "      %s = I * K + %d\n" t j) temps
+      @ [ "      KACC(I) = KACC(I) + T0 + T39\n"; "      END\n" ])
+  in
+  let program = parse src in
+  let omp = { Frontend.Ast.omp_private = temps; omp_reductions = [] } in
+  let sub = Frontend.Ast.find_unit_exn program "SUB" in
+  let program =
+    Frontend.Ast.replace_unit program
+      {
+        sub with
+        u_body =
+          Frontend.Ast.map_stmts
+            (fun s ->
+              match s.node with
+              | Frontend.Ast.Do_loop l ->
+                  [ { s with node = Do_loop { l with parallel = Some omp } } ]
+              | _ -> [ s ])
+            sub.u_body;
+      }
+  in
+  let private_keys = Runtime.Interp.private_state_keys program in
+  let run threads =
+    let out, state = Runtime.Interp.run_program_state ~threads program in
+    (out, List.filter (fun (k, _) -> not (List.mem k private_keys)) state)
+  in
+  let seq_out, seq_state = run 1 in
+  cs "sums" "9120000 18123000\n" seq_out;
+  List.iter
+    (fun threads ->
+      let out, state = run threads in
+      cs (Printf.sprintf "output at %d threads" threads) seq_out out;
+      cb (Printf.sprintf "COMMON state at %d threads" threads) true
+        (state = seq_state))
+    [ 2; 3 ]
+
 let test_pool_parallel_for () =
   let pool = Runtime.Pool.create 4 in
   let hits = Array.make 64 0 in
@@ -193,6 +256,49 @@ let test_pool_reusable () =
   Runtime.Pool.shutdown pool;
   Alcotest.(check int) "350 tasks" 350 !total
 
+(* Chunk 0 holds the caller until chunk 1 has started, so the job can
+   only complete if a worker domain takes chunk 1 (bounded, so a broken
+   handoff fails instead of hanging). *)
+let test_pool_worker_takes_chunks () =
+  let pool = Runtime.Pool.create 2 in
+  let ran_on = Array.make 2 (-1) in
+  let started = Atomic.make false in
+  let timed_out = ref false in
+  for _ = 1 to 50 do
+    Atomic.set started false;
+    Runtime.Pool.parallel_for pool ~chunks:2 (fun c ->
+        ran_on.(c) <- (Domain.self () :> int);
+        if c = 1 then Atomic.set started true
+        else begin
+          let give_up = Unix.gettimeofday () +. 10.0 in
+          while
+            (not (Atomic.get started)) && Unix.gettimeofday () < give_up
+          do
+            Domain.cpu_relax ()
+          done;
+          if not (Atomic.get started) then timed_out := true
+        end)
+  done;
+  Runtime.Pool.shutdown pool;
+  cb "chunk 1 started while chunk 0 waited" false !timed_out;
+  cb "the chunks ran on two domains" true (ran_on.(0) <> ran_on.(1))
+
+(* Shutdown right after a job finds the workers in their spin window: it
+   must stop them there, not after they park, and the pool must still
+   refuse later jobs. *)
+let test_pool_shutdown_while_spinning () =
+  for _ = 1 to 20 do
+    let pool = Runtime.Pool.create 3 in
+    Runtime.Pool.parallel_for pool ~chunks:3 ignore;
+    let t0 = Unix.gettimeofday () in
+    Runtime.Pool.shutdown pool;
+    cb "shutdown returns promptly" true (Unix.gettimeofday () -. t0 < 2.0);
+    match Runtime.Pool.parallel_for pool ~chunks:2 ignore with
+    | () -> Alcotest.fail "expected Diag.Fatal on a shut-down pool"
+    | exception Frontend.Diag.Fatal d ->
+        cb "exec code" true (d.Frontend.Diag.d_code = Frontend.Diag.Exec)
+  done
+
 let suite =
   [
     ("interp: arithmetic", `Quick, test_arith);
@@ -217,7 +323,12 @@ let suite =
     ("parallel: max reduction", `Quick, test_parallel_max_reduction);
     ("parallel: dynamic privatization", `Quick, test_parallel_dynamic_privatization);
     ("parallel: nested", `Quick, test_parallel_nested_runs_sequential);
+    ( "parallel: callee-only private COMMON",
+      `Quick,
+      test_parallel_private_common_callee_only );
     ("pool: coverage", `Quick, test_pool_parallel_for);
     ("pool: exceptions", `Quick, test_pool_propagates_exception);
     ("pool: reuse", `Quick, test_pool_reusable);
+    ("pool: workers take chunks", `Quick, test_pool_worker_takes_chunks);
+    ("pool: shutdown while spinning", `Quick, test_pool_shutdown_while_spinning);
   ]
