@@ -32,7 +32,7 @@ bench:
 	dune exec bench/main.exe -- table2 --jobs $(BENCH_JOBS) --json $(BENCH_JSON)
 
 # Side-by-side wall-clock / cache-miss / exec-time diff of two bench
-# JSON documents (schema v2-v4).  Informational, never fails.
+# JSON documents (schema v2-v9).  Informational, never fails.
 bench-compare:
 	dune exec bench/main.exe -- compare $(BENCH_OLD) $(BENCH_NEW)
 

@@ -827,6 +827,10 @@ let client_run socket op source_file annot_file mode growth_budget max_rounds
               ~growth_budget ~max_rounds ())
     | op -> fail_cli "unknown op %S (expected ping | stats | metrics | snapshot | shutdown | analyze | compile | plan)" op
   in
+  (* a daemon that drops the connection surfaces as a failed write below,
+     not as a SIGPIPE death *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (match Unix.connect fd (Unix.ADDR_UNIX socket) with
   | () -> ()
@@ -834,13 +838,17 @@ let client_run socket op source_file annot_file mode growth_budget max_rounds
       fail_cli "cannot connect to %s: %s" socket (Unix.error_message e));
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  output_string oc (Json.to_string req);
-  output_char oc '\n';
-  flush oc;
+  let closed m = fail_cli "server closed the connection: %s" m in
+  (try
+     output_string oc (Json.to_string req);
+     output_char oc '\n';
+     flush oc
+   with Sys_error m -> closed m);
   let line =
     match input_line ic with
     | line -> line
     | exception End_of_file -> fail_cli "server closed the connection"
+    | exception Sys_error m -> closed m
   in
   close_out_noerr oc;
   match Json.parse line with

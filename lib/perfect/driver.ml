@@ -238,10 +238,6 @@ let run_suite ?(jobs = 1) ?par_config ?growth_budget ?validate
                 "benchmark %s (%s) abandoned by the pool watchdog after %.0f \
                  ms"
                 b.Bench_def.name (Pipeline.mode_name m) (waited_s *. 1000.0)))
-    | Runtime.Pool.Worker_died _ ->
-        (* the pool respawns the domain before the next job; the failed
-           chunks it owned (if any) arrive as their own events *)
-        ()
   in
   let pool = Runtime.Pool.create jobs in
   let events = ref [] in

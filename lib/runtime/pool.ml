@@ -1,47 +1,61 @@
-(** Persistent, self-healing domain pool.
+(** Persistent, self-healing domain pool: the one worker runtime.
 
     Spawning a [Domain] per parallel loop execution costs hundreds of
     microseconds -- ruinous for programs that enter small parallel loops
-    thousands of times (exactly the PERFECT profile).  The pool parks
-    [n-1] worker domains once per program run; a parallel loop hands every
-    worker a chunk index and blocks until all chunks complete.  The pool
-    is used only from the main domain and only outside parallel regions
-    (the interpreter runs nested parallel loops sequentially), so a single
-    job slot suffices.
+    thousands of times (exactly the PERFECT profile).  The pool spawns
+    [n-1] worker domains once and keeps them; they pull tasks off one
+    queue.  A task is one of two shapes:
 
-    The handoff spins, then parks, on both sides.  A worker between jobs
-    polls the atomic job generation and stop flag for up to
-    {!spin_limit} [Domain.cpu_relax] calls before it waits on [cv_job],
-    so [shutdown] also stops a spinning worker at once; the caller,
-    done with its own chunks, polls the job's atomic finished-chunk count
-    as long before it waits on [cv_done].  Emitted programs fork tens of
-    thousands of short loops a run, back to back, so the next job (or the
-    last chunk) usually arrives inside the spin window and neither side
-    pays a futex wake-up.  A side that does park is still woken: the
-    generation and the finished count only change under [m], and both
-    sides re-check them under [m] before waiting, so no wake-up is lost.
+    - a {e drain} of a fork-join job.  {!parallel_for} publishes the
+      job's chunk range by pushing one drain task per worker, drains the
+      range itself too, and blocks until the last chunk lands.  Every
+      piece of per-job state lives in the job record, so several domains
+      may run [parallel_for] on one pool at once; their tasks interleave
+      in the queue and each caller waits only for its own job.
+    - a long-lived {e item} (the analysis daemon's connections).
+      {!submit} admits up to [max_pending] items in flight (queued plus
+      executing) and sheds beyond that, returning {!Shed} so the caller
+      can answer with a structured overload error instead of queuing
+      forever.  A pool without workers runs the item on the caller.
+
+    The handoff spins, then parks, on both sides.  An idle worker polls
+    the atomic queue length and stop flag for up to {!spin_limit}
+    [Domain.cpu_relax] calls before it waits on [cv_task], so
+    [shutdown] also stops a spinning worker at once; a caller done with
+    its own chunks polls its job's atomic finished-chunk count as long
+    before it waits on [cv_done].  Emitted programs fork tens of
+    thousands of short loops a run, back to back, so the next task (or
+    the last chunk) usually arrives inside the spin window and neither
+    side pays a futex wake-up.  A side that does park is still woken:
+    the queue length and the finished count only change under [m], and
+    both sides re-check them under [m] before waiting, so no wake-up is
+    lost.
 
     Failure containment is layered:
 
     - Every chunk keeps its own failure capture (with the raw backtrace),
       so a dead chunk never prevents the rest of its batch or the job
-      from running.  Failures classified transient are retried with
-      exponential backoff up to a per-job bound — retries re-execute the
-      chunk, so callers enable them only for idempotent chunk functions
-      (the suite driver's [out.(i) <- ...] tasks qualify; interpreter
-      reductions do not).
+      from running.  Injected chaos faults, the transient class, are
+      retried with exponential backoff up to a per-job bound — retries
+      re-execute the chunk, so callers enable them only for idempotent
+      chunk functions (the suite driver's [out.(i) <- ...] tasks
+      qualify; interpreter reductions do not).
+    - An item runs under a barrier: one that raises is passed to its
+      [discard] cleanup and counted, and the worker keeps serving.
     - A worker whose loop itself dies (possible only at the injected
-      ["runtime.pool.worker"] fault point — [drain] never lets a chunk
-      exception escape) is recorded and lazily respawned at the next
-      [parallel_for], so a killed domain degrades one job, not the pool.
+      ["runtime.pool.worker"] fault point — [drain] and the item barrier
+      never let an exception escape) discards the item it held, is
+      recorded, and is lazily respawned by the next [parallel_for] or
+      [submit], so a killed domain degrades one task, not the pool.
+      Respawning costs nothing until a death is recorded, and never
+      happens once [shutdown] has begun.
     - With a [deadline_s], the calling domain stays out of the chunk work
       and acts as a watchdog: when the job exceeds its budget, unfinished
       chunks are abandoned and reported as {!Deadline_missed} events, and
       any stalled worker finishes its orphaned chunk against the dead
-      job's private state, harmless to later jobs.  Per-job bookkeeping
-      lives in a fresh {!job} record for exactly this reason.  With a
-      single-domain pool there is nobody to preempt the caller, so
-      deadlines are not enforced there.
+      job's private state, harmless to later jobs.  With a single-domain
+      pool there is nobody to preempt the caller, so deadlines are not
+      enforced there.
 
     With [~report], failures and deadline misses are delivered as
     {!event}s after the join instead of being re-raised — the suite
@@ -57,20 +71,29 @@ type event =
       (** a transient failure; attempt [attempt] follows after backoff *)
   | Deadline_missed of { chunk : int; waited_s : float }
       (** the watchdog abandoned this chunk (running or never started) *)
-  | Worker_died of { slot : int; error : exn }
-      (** a worker domain's loop died; it is respawned on the next job *)
 
-(** Lifetime counters, for tests and post-run reporting. *)
+type verdict =
+  | Accepted  (** queued (or, without workers, already run) *)
+  | Shed  (** at [max_pending] items in flight, or shut down *)
+
+(** Lifetime counters, for tests, the daemon's [stats] op and post-run
+    reporting. *)
 type stats = {
-  deaths : int;  (** worker domains whose loop died *)
-  respawns : int;  (** replacement domains spawned by [heal] *)
+  accepted : int;  (** items admitted by {!submit} *)
+  shed : int;  (** items refused by {!submit} *)
+  handler_errors : int;  (** items that raised *)
+  inflight : int;  (** items queued or executing *)
   retries : int;  (** chunk re-executions after transient failures *)
   deadline_misses : int;  (** chunks abandoned by the watchdog *)
+  deaths : int;  (** worker domains whose loop died *)
+  respawns : int;  (** replacement domains spawned by [heal] *)
+  workers : int;  (** live worker domains *)
 }
 
-(* All per-job bookkeeping lives here, never on the pool: a worker
-   stalled in an abandoned job updates its own job's counters, so it can
-   never corrupt a later job's progress accounting. *)
+(* All per-job bookkeeping lives here, never on the pool: concurrent
+   callers each own theirs, and a worker stalled in an abandoned job
+   updates its own job's counters, so it can never corrupt a later
+   job's progress accounting. *)
 type job = {
   j_f : int -> unit;
   j_published_ns : int64;  (** publish time, for the queue-wait histogram *)
@@ -80,8 +103,6 @@ type job = {
           traffic on many-small-chunk jobs, small enough
           (total/(4*size)) that stragglers still rebalance *)
   j_retries : int;
-  j_backoff : float;
-  j_transient : exn -> bool;
   mutable j_next : int;
   j_finished : int Atomic.t;
       (** written under [m]; the caller also polls it without [m] while
@@ -94,22 +115,24 @@ type job = {
           for the watchdog's report *)
 }
 
+type item = { run : unit -> unit; discard : unit -> unit }
+type task = Drain of job | Item of item
+
 type t = {
   m : Mutex.t;
-  cv_job : Condition.t;  (** signaled when a new job is published *)
-  cv_done : Condition.t;  (** signaled when the last chunk finishes *)
-  mutable job : job option;
-  generation : int Atomic.t;
-      (** bumped under [m] with each published job; idle workers poll it
+  cv_task : Condition.t;  (** signaled when a task is queued *)
+  cv_done : Condition.t;  (** broadcast when a job's last chunk finishes *)
+  queue : task Queue.t;
+  queued : int Atomic.t;
+      (** the queue's length, written under [m]; idle workers poll it
           without [m] while they spin *)
-  stop : bool Atomic.t;  (** set under [m]; polled like [generation] *)
-  mutable closed : bool;  (** [shutdown] ran; [parallel_for] must refuse *)
+  stop : bool Atomic.t;  (** [shutdown] began; set under [m] *)
+  dead : int list Atomic.t;
+      (** slots awaiting respawn, written under [m]; [heal] reads it
+          without [m] *)
   mutable workers : (int * unit Domain.t) list;  (** slot, domain *)
-  mutable dead : int list;  (** slots awaiting respawn *)
-  mutable n_deaths : int;
-  mutable n_respawns : int;
-  mutable n_retries : int;
-  mutable n_deadline_misses : int;
+  mutable st : stats;  (** [workers] is filled in by {!stats} *)
+  max_pending : int;
   size : int;  (** number of workers + 1 (the caller participates) *)
 }
 
@@ -132,6 +155,14 @@ let spin waiting =
     decr n
   done
 
+(* The first retry of a transient failure waits this long; each further
+   one doubles it. *)
+let retry_backoff_s = 0.002
+
+(* Injected faults are the transient class: only the chaos layer raises
+   them, and a real failure does not get better by rerunning. *)
+let transient = function Frontend.Fault.Injected _ -> true | _ -> false
+
 (* Live telemetry: queue wait vs execute time plus the self-healing
    counters, fed to the armed Metrics registry (no-ops otherwise). *)
 let m_queue_wait =
@@ -150,6 +181,10 @@ let m_retries =
   Frontend.Metrics.counter "parinline_pool_retries_total"
     ~help:"chunk re-executions after transient failures"
 
+let m_deaths =
+  Frontend.Metrics.counter "parinline_pool_deaths_total"
+    ~help:"worker domains whose loop died"
+
 let m_respawns =
   Frontend.Metrics.counter "parinline_pool_respawns_total"
     ~help:"worker domains respawned after a death"
@@ -158,19 +193,11 @@ let m_deadline_misses =
   Frontend.Metrics.counter "parinline_pool_deadline_misses_total"
     ~help:"chunks abandoned by the watchdog"
 
-(* Injected faults are the canonical transient failure; everything else
-   is assumed real (a logic bug does not get better by rerunning). *)
-let default_transient = function
-  | Frontend.Fault.Injected _ -> true
-  | _ -> false
-
-(* User-supplied classifiers must not take the pool down. *)
-let is_transient (j : job) e = try j.j_transient e with _ -> false
-
 (* Drain the job's chunks, [j.j_batch] per lock acquisition.  Called
-   (and returns) with [p.m] held; never lets a chunk exception escape. *)
+   (and returns) with [p.m] held; never lets a chunk exception escape.
+   A drain task popped after its job finished finds nothing left. *)
 let drain (p : t) (j : job) =
-  if Frontend.Metrics.on () then
+  if Frontend.Metrics.on () && j.j_next < j.j_total then
     Frontend.Metrics.observe_ns m_queue_wait
       (Int64.to_int
          (Int64.sub (Frontend.Prof.monotonic_ns ()) j.j_published_ns));
@@ -201,15 +228,15 @@ let drain (p : t) (j : job) =
           | () -> ()
           | exception e ->
               let bt = Printexc.get_raw_backtrace () in
-              if is_transient j e && tries < j.j_retries then begin
+              if transient e && tries < j.j_retries then begin
                 Frontend.Metrics.incr m_retries;
                 Mutex.lock p.m;
-                p.n_retries <- p.n_retries + 1;
+                p.st <- { p.st with retries = p.st.retries + 1 };
                 j.j_events <-
                   Chunk_retried { chunk = c; attempt = tries + 1 }
                   :: j.j_events;
                 Mutex.unlock p.m;
-                Unix.sleepf (j.j_backoff *. float_of_int (1 lsl tries));
+                Unix.sleepf (retry_backoff_s *. float_of_int (1 lsl tries));
                 attempt (tries + 1)
               end
               else begin
@@ -249,103 +276,138 @@ let drain (p : t) (j : job) =
   in
   go ()
 
-let worker_loop (p : t) (slot : int) () =
-  (* the last generation this worker has seen, taken or not; a worker
-     respawned after the next job was published still takes it *)
-  let seen = ref 0 in
-  let idle () = (not (Atomic.get p.stop)) && Atomic.get p.generation = !seen in
-  let continue_ = ref true in
-  while !continue_ do
-    spin idle;
-    Mutex.lock p.m;
-    while idle () do
-      Condition.wait p.cv_job p.m
-    done;
-    if Atomic.get p.stop then begin
-      Mutex.unlock p.m;
-      continue_ := false
-    end
-    else begin
-      seen := Atomic.get p.generation;
-      (match p.job with
-      | None -> () (* the job finished before this worker got to it *)
-      | Some j -> (
-          (* [drain] never raises, so a death can only come from the
-             injected worker fault point — exactly the "worker domain
-             dies" scenario.  Record it for lazy respawn; the job
-             completes via the remaining participants (or the
-             watchdog). *)
-          match Frontend.Fault.point "runtime.pool.worker" with
-          | () -> drain p j
-          | exception e ->
-              p.n_deaths <- p.n_deaths + 1;
-              p.dead <- slot :: p.dead;
-              j.j_events <- Worker_died { slot; error = e } :: j.j_events;
-              continue_ := false));
-      Mutex.unlock p.m
-    end
-  done
+(* Never let an item's cleanup take the pool down. *)
+let discard_quiet (it : item) = try it.discard () with _ -> ()
 
-let create n_threads : t =
+(* The per-item barrier: an item that raises is discarded and counted,
+   and whoever ran it carries on.  Called without [p.m]; returns
+   holding it. *)
+let run_item (p : t) (it : item) =
+  let failed =
+    match it.run () with
+    | () -> 0
+    | exception _ ->
+        discard_quiet it;
+        1
+  in
+  Mutex.lock p.m;
+  p.st <-
+    {
+      p.st with
+      inflight = p.st.inflight - 1;
+      handler_errors = p.st.handler_errors + failed;
+    }
+
+(* Pop tasks until [shutdown].  The death site is checked outside the
+   drain and item barriers, so a fault injected inside a task (e.g.
+   server.conn) degrades that task, not the domain.  A death discards
+   the item the worker held (a drain task's job finishes through the
+   other participants) and leaves the slot to [heal]. *)
+let worker_loop (p : t) (slot : int) () =
+  let idle () = Atomic.get p.queued = 0 && not (Atomic.get p.stop) in
+  let rec next () =
+    (* [p.m] is held here *)
+    if idle () then begin
+      Mutex.unlock p.m;
+      spin idle;
+      Mutex.lock p.m;
+      while idle () do
+        Condition.wait p.cv_task p.m
+      done
+    end;
+    if Atomic.get p.stop then Mutex.unlock p.m
+    else begin
+      let task = Queue.pop p.queue in
+      Atomic.decr p.queued;
+      match (Frontend.Fault.point "runtime.pool.worker", task) with
+      | (), Drain j ->
+          drain p j;
+          next ()
+      | (), Item it ->
+          Mutex.unlock p.m;
+          run_item p it;
+          next ()
+      | exception _ ->
+          Mutex.unlock p.m;
+          let held =
+            match task with
+            | Item it ->
+                discard_quiet it;
+                1
+            | Drain _ -> 0
+          in
+          Frontend.Metrics.incr m_deaths;
+          Mutex.lock p.m;
+          p.st <-
+            {
+              p.st with
+              deaths = p.st.deaths + 1;
+              inflight = p.st.inflight - held;
+            };
+          Atomic.set p.dead (slot :: Atomic.get p.dead);
+          Mutex.unlock p.m
+    end
+  in
+  Mutex.lock p.m;
+  next ()
+
+(* Respawn the workers that died since the last call.  Free until a
+   death is recorded, and a no-op once [shutdown] has begun, so every
+   domain the pool spawns is one [shutdown] joins.  A dead domain's
+   loop has exited, so joining it is immediate. *)
+let heal (p : t) =
+  if Atomic.get p.dead <> [] then
+    Mutex.protect p.m (fun () ->
+        if not (Atomic.get p.stop) then begin
+          let dead = Atomic.exchange p.dead [] in
+          let gone, kept =
+            List.partition (fun (s, _) -> List.mem s dead) p.workers
+          in
+          List.iter (fun (_, d) -> Domain.join d) gone;
+          p.workers <-
+            List.map
+              (fun s ->
+                Frontend.Metrics.incr m_respawns;
+                (s, Domain.spawn (worker_loop p s)))
+              dead
+            @ kept;
+          p.st <- { p.st with respawns = p.st.respawns + List.length dead }
+        end)
+
+let create ?(max_pending = 64) n_threads : t =
   let p =
     {
       m = Mutex.create ();
-      cv_job = Condition.create ();
+      cv_task = Condition.create ();
       cv_done = Condition.create ();
-      job = None;
-      generation = Atomic.make 0;
+      queue = Queue.create ();
+      queued = Atomic.make 0;
       stop = Atomic.make false;
-      closed = false;
+      dead = Atomic.make [];
       workers = [];
-      dead = [];
-      n_deaths = 0;
-      n_respawns = 0;
-      n_retries = 0;
-      n_deadline_misses = 0;
+      st =
+        {
+          accepted = 0;
+          shed = 0;
+          handler_errors = 0;
+          inflight = 0;
+          retries = 0;
+          deadline_misses = 0;
+          deaths = 0;
+          respawns = 0;
+          workers = 0;
+        };
+      max_pending = max 1 max_pending;
       size = max 1 n_threads;
     }
   in
   p.workers <-
-    List.init
-      (max 0 (n_threads - 1))
-      (fun i -> (i, Domain.spawn (worker_loop p i)));
+    List.init (p.size - 1) (fun i -> (i, Domain.spawn (worker_loop p i)));
   p
 
-(* Respawn any workers that died since the last job.  The dead domain's
-   loop has exited, so joining it here is immediate; spawning happens
-   outside the lock. *)
-let heal (p : t) =
-  Mutex.lock p.m;
-  let dead = p.dead in
-  p.dead <- [];
-  let gone, kept =
-    List.partition (fun (s, _) -> List.mem s dead) p.workers
-  in
-  p.workers <- kept;
-  Mutex.unlock p.m;
-  List.iter (fun (_, d) -> Domain.join d) gone;
-  List.iter
-    (fun slot ->
-      let d = Domain.spawn (worker_loop p slot) in
-      Frontend.Metrics.incr m_respawns;
-      Mutex.lock p.m;
-      p.workers <- (slot, d) :: p.workers;
-      p.n_respawns <- p.n_respawns + 1;
-      Mutex.unlock p.m)
-    dead
-
 let stats (p : t) : stats =
-  Mutex.lock p.m;
-  let s =
-    {
-      deaths = p.n_deaths;
-      respawns = p.n_respawns;
-      retries = p.n_retries;
-      deadline_misses = p.n_deadline_misses;
-    }
-  in
-  Mutex.unlock p.m;
-  s
+  Mutex.protect p.m (fun () ->
+      { p.st with workers = List.length p.workers })
 
 (** Run [f c] for every chunk [c] in [0 .. chunks-1] across the pool.
     Without [~report], the first failure is re-raised with its original
@@ -354,10 +416,9 @@ let stats (p : t) : stats =
     [Diag.Fatal] with a [Timeout] diagnostic.  With [~report], nothing
     is raised: per-chunk {!event}s are delivered after the join and the
     caller decides how to degrade. *)
-let parallel_for ?label ?deadline_s ?(retries = 0) ?(backoff_s = 0.002)
-    ?(transient = default_transient) ?report (p : t) ~(chunks : int)
-    (f : int -> unit) =
-  if p.closed then
+let parallel_for ?label ?deadline_s ?(retries = 0) ?report (p : t)
+    ~(chunks : int) (f : int -> unit) =
+  if Atomic.get p.stop then
     raise
       (Frontend.Diag.Fatal
          (Frontend.Diag.make Frontend.Diag.Exec
@@ -380,8 +441,6 @@ let parallel_for ?label ?deadline_s ?(retries = 0) ?(backoff_s = 0.002)
         j_batch =
           (if use_workers then max 1 (chunks / (4 * p.size)) else chunks);
         j_retries = max 0 retries;
-        j_backoff = backoff_s;
-        j_transient = transient;
         j_next = 0;
         j_finished = Atomic.make 0;
         j_abandoned = false;
@@ -394,9 +453,12 @@ let parallel_for ?label ?deadline_s ?(retries = 0) ?(backoff_s = 0.002)
     let pending () = Atomic.get j.j_finished < j.j_total in
     Mutex.lock p.m;
     if use_workers then begin
-      p.job <- Some j;
-      Atomic.incr p.generation;
-      Condition.broadcast p.cv_job
+      let task = Drain j in
+      for _ = 2 to p.size do
+        Queue.push task p.queue
+      done;
+      Atomic.set p.queued (Queue.length p.queue);
+      Condition.broadcast p.cv_task
     end;
     let t0 = now_s () in
     if not watchdog then drain p j;
@@ -425,7 +487,8 @@ let parallel_for ?label ?deadline_s ?(retries = 0) ?(backoff_s = 0.002)
                 Deadline_missed { chunk = c; waited_s = waited }
                 :: j.j_events;
               Frontend.Metrics.incr m_deadline_misses;
-              p.n_deadline_misses <- p.n_deadline_misses + 1
+              p.st <-
+                { p.st with deadline_misses = p.st.deadline_misses + 1 }
             in
             Option.iter (Hashtbl.iter (fun c () -> miss c)) j.j_running;
             for c = j.j_next to j.j_total - 1 do
@@ -434,7 +497,6 @@ let parallel_for ?label ?deadline_s ?(retries = 0) ?(backoff_s = 0.002)
             j.j_next <- j.j_total
           end
         done);
-    if use_workers then p.job <- None;
     let failure = j.j_failure in
     let abandoned = j.j_abandoned in
     let events = List.rev j.j_events in
@@ -461,17 +523,58 @@ let parallel_for ?label ?deadline_s ?(retries = 0) ?(backoff_s = 0.002)
                          (Option.get deadline_s *. 1000.0)))))
   end
 
-(** Stop and join all workers.  Idempotent: a second call is a no-op.
+(** Offer the item [run] to the pool.  {!Accepted} means a worker will
+    run it (the caller already has, on a pool without workers); {!Shed}
+    means the in-flight bound or shutdown refused it — [discard] is NOT
+    called, the caller still owns the item and answers the overload.
+    An accepted item that raises, or that a dying worker held, or that
+    is still queued at {!shutdown}, is passed to [discard]. *)
+let submit ?(discard = ignore) (p : t) (run : unit -> unit) : verdict =
+  heal p;
+  Mutex.lock p.m;
+  if Atomic.get p.stop || p.st.inflight >= p.max_pending then begin
+    p.st <- { p.st with shed = p.st.shed + 1 };
+    Mutex.unlock p.m;
+    Shed
+  end
+  else begin
+    p.st <-
+      { p.st with accepted = p.st.accepted + 1; inflight = p.st.inflight + 1 };
+    let it = { run; discard } in
+    if p.size = 1 then begin
+      Mutex.unlock p.m;
+      run_item p it
+    end
+    else begin
+      Queue.push (Item it) p.queue;
+      Atomic.incr p.queued;
+      Condition.signal p.cv_task
+    end;
+    Mutex.unlock p.m;
+    Accepted
+  end
+
+(** Stop the workers after their current task, discard the items still
+    queued, and join the domains.  Idempotent: a second call is a no-op.
     [parallel_for] on a shut-down pool raises a structured [Diag.Fatal]
-    instead of hanging on [cv_done]. *)
+    instead of hanging on [cv_done]; [submit] sheds. *)
 let shutdown (p : t) =
   Mutex.lock p.m;
-  if p.closed then Mutex.unlock p.m
+  if Atomic.get p.stop then Mutex.unlock p.m
   else begin
-    p.closed <- true;
     Atomic.set p.stop true;
-    Condition.broadcast p.cv_job;
+    let items =
+      Queue.fold
+        (fun acc -> function Item it -> it :: acc | Drain _ -> acc)
+        [] p.queue
+    in
+    Queue.clear p.queue;
+    Atomic.set p.queued 0;
+    p.st <- { p.st with inflight = p.st.inflight - List.length items };
+    let workers = p.workers in
+    p.workers <- [];
+    Condition.broadcast p.cv_task;
     Mutex.unlock p.m;
-    List.iter (fun (_, d) -> Domain.join d) p.workers;
-    p.workers <- []
+    List.iter discard_quiet (List.rev items);
+    List.iter (fun (_, d) -> Domain.join d) workers
   end

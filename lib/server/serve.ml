@@ -100,10 +100,7 @@ type logger = {
 
 type t = {
   srv_jobs : int;
-  srv_pool : Runtime.Pool.t;
-  srv_batch_m : Mutex.t;
-      (** serializes batch sharding: {!Runtime.Pool} runs one job at a
-          time, so concurrent connection workers take turns *)
+  srv_pool : Runtime.Pool.t;  (** shards batch requests *)
   srv_cache_dir : string option;
   srv_max_errors : int;
   srv_m : Mutex.t;  (** guards [srv_prof] *)
@@ -120,8 +117,9 @@ type t = {
   srv_backlog : int;  (** [Unix.listen] queue depth *)
   srv_max_inflight : int;  (** connection admission bound *)
   srv_conn_jobs : int;  (** connection-worker domains (0 = sequential) *)
-  mutable srv_workers : Unix.file_descr Runtime.Workers.t option;
-      (** live while {!serve_socket} runs; its stats feed the stats op *)
+  mutable srv_conns : Runtime.Pool.t;
+      (** the connection pool of the latest {!serve_socket}; its stats
+          feed the stats op *)
   mutable srv_stop : bool;
 }
 
@@ -298,20 +296,8 @@ let units_cached t = Lru.length t.srv_units
 (** Resident size / byte / eviction stats of the unit cache. *)
 let cache_stats t = Lru.stats t.srv_units
 
-(** Connection-pool stats while {!serve_socket} runs (zeros otherwise). *)
-let conn_stats t : Runtime.Workers.stats =
-  match t.srv_workers with
-  | Some w -> Runtime.Workers.stats w
-  | None ->
-      {
-        Runtime.Workers.accepted = 0;
-        shed = 0;
-        handler_errors = 0;
-        deaths = 0;
-        respawns = 0;
-        inflight = 0;
-        workers = 0;
-      }
+(** Connection-pool stats of the latest {!serve_socket} (zeros before). *)
+let conn_stats t = Runtime.Pool.stats t.srv_conns
 
 (** Counter snapshot of the server-lifetime aggregate. *)
 let counters t =
@@ -327,7 +313,7 @@ let stopping t = t.srv_stop
 
 (** Create a server.  [jobs] sizes the {!Runtime.Pool} batch sharding
     ([<= 1] runs everything on the caller); [conn_jobs] sizes the
-    {!Runtime.Workers} connection pool ([0] serves connections
+    socket loop's connection {!Runtime.Pool} ([0] serves connections
     sequentially on the acceptor); [backlog] is the [Unix.listen] queue
     depth and [max_inflight] the admission bound beyond which new
     connections are shed with an overload envelope.  [max_cache_units]
@@ -363,7 +349,6 @@ let create ?(jobs = 1) ?(conn_jobs = 0) ?(backlog = 16) ?(max_inflight = 64)
     {
       srv_jobs = max 1 jobs;
       srv_pool = Runtime.Pool.create (max 1 jobs);
-      srv_batch_m = Mutex.create ();
       srv_cache_dir = cache_dir;
       srv_max_errors = max_errors;
       srv_m = Mutex.create ();
@@ -379,7 +364,7 @@ let create ?(jobs = 1) ?(conn_jobs = 0) ?(backlog = 16) ?(max_inflight = 64)
       srv_backlog = max 1 backlog;
       srv_max_inflight = max 1 max_inflight;
       srv_conn_jobs = max 0 conn_jobs;
-      srv_workers = None;
+      srv_conns = Runtime.Pool.create 1;
       srv_stop = false;
     }
   in
@@ -701,21 +686,17 @@ let handle_work t (j : Json.t) : string =
 (* A batch shards its work requests across the pool domains.  Chunk
    functions are idempotent pure writes into distinct slots, and
    [handle_work] already owns all failure modes, so a pool-level report
-   only matters for the chunks a dying worker abandoned.  The pool runs
-   one job at a time, so concurrent connection workers queue on
-   [srv_batch_m] for their turn. *)
+   only matters for a chunk that escaped it.  Connection workers may
+   shard batches on the pool at the same time: each job keeps its own
+   state. *)
 let handle_batch t ~rid ~id (reqs : Json.t list) : string =
   let reqs = Array.of_list reqs in
   let out = Array.make (Array.length reqs) "" in
   let events = ref [] in
-  Mutex.lock t.srv_batch_m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.srv_batch_m)
-    (fun () ->
-      Runtime.Pool.parallel_for ~label:"server-batch"
-        ~report:(fun evs -> events := evs)
-        t.srv_pool ~chunks:(Array.length reqs)
-        (fun i -> out.(i) <- handle_work t reqs.(i)));
+  Runtime.Pool.parallel_for ~label:"server-batch"
+    ~report:(fun evs -> events := evs)
+    t.srv_pool ~chunks:(Array.length reqs)
+    (fun i -> out.(i) <- handle_work t reqs.(i));
   List.iter
     (fun (ev : Runtime.Pool.event) ->
       match ev with
@@ -815,14 +796,13 @@ let handle_request t (j : Json.t) : string =
                let ws = conn_stats t in
                Json.Obj
                  [
-                   ("accepted", Json.Int ws.Runtime.Workers.accepted);
-                   ("shed", Json.Int ws.Runtime.Workers.shed);
-                   ("handler_errors",
-                    Json.Int ws.Runtime.Workers.handler_errors);
-                   ("worker_deaths", Json.Int ws.Runtime.Workers.deaths);
-                   ("worker_respawns", Json.Int ws.Runtime.Workers.respawns);
-                   ("inflight", Json.Int ws.Runtime.Workers.inflight);
-                   ("workers", Json.Int ws.Runtime.Workers.workers);
+                   ("accepted", Json.Int ws.Runtime.Pool.accepted);
+                   ("shed", Json.Int ws.Runtime.Pool.shed);
+                   ("handler_errors", Json.Int ws.Runtime.Pool.handler_errors);
+                   ("worker_deaths", Json.Int ws.Runtime.Pool.deaths);
+                   ("worker_respawns", Json.Int ws.Runtime.Pool.respawns);
+                   ("inflight", Json.Int ws.Runtime.Pool.inflight);
+                   ("workers", Json.Int ws.Runtime.Pool.workers);
                  ] );
              ("counters", counters_json (counters t));
              ("histograms", histograms_json (Metrics.snapshot t.srv_metrics));
@@ -939,7 +919,7 @@ let serve_channels t (ic : in_channel) (oc : out_channel) : unit =
 let overload_response t ~rid : string =
   let msg =
     Printf.sprintf "server overloaded: %d connections in flight (max %d)"
-      (conn_stats t).Runtime.Workers.inflight t.srv_max_inflight
+      (conn_stats t).Runtime.Pool.inflight t.srv_max_inflight
   in
   Json.to_string
     (Json.Obj
@@ -1021,12 +1001,12 @@ let shed_conn t (fd : Unix.file_descr) : unit =
     [ ("request_id", Json.Str rid); ("event", Json.Str "conn_shed") ]
 
 (** Accept loop on a Unix-domain socket at [path] (an existing file
-    there is replaced).  Accepted connections are handed to a
-    fixed-size {!Runtime.Workers} pool of [conn_jobs] domains
-    ([conn_jobs = 0] serves them sequentially on the acceptor, the
-    pre-concurrency behavior); admission is bounded by the [backlog]
-    passed to [Unix.listen] plus the [max_inflight] shed, which answers
-    a structured overload envelope instead of queuing forever.  The
+    there is replaced).  Accepted connections are submitted to a
+    {!Runtime.Pool} with [conn_jobs] worker domains ([conn_jobs = 0]
+    serves them sequentially on the acceptor, the pre-concurrency
+    behavior); admission is bounded by the [backlog] passed to
+    [Unix.listen] plus the [max_inflight] shed, which answers a
+    structured overload envelope instead of queuing forever.  The
     loop returns once a [shutdown] op was answered or {!stop} was
     called (the acceptor polls the flag, so a shutdown handled on a
     worker domain is noticed promptly).  A tripped [server.accept]
@@ -1036,18 +1016,13 @@ let shed_conn t (fd : Unix.file_descr) : unit =
 let serve_socket t ~(path : string) : unit =
   (try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let workers =
-    Runtime.Workers.create ~max_pending:t.srv_max_inflight
-      ~size:t.srv_conn_jobs
-      ~handler:(fun fd -> handle_conn t fd)
-      ~discard:(fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      ()
+  let conns =
+    Runtime.Pool.create ~max_pending:t.srv_max_inflight (t.srv_conn_jobs + 1)
   in
-  t.srv_workers <- Some workers;
+  t.srv_conns <- conns;
   Fun.protect
     ~finally:(fun () ->
-      Runtime.Workers.shutdown workers;
-      t.srv_workers <- None;
+      Runtime.Pool.shutdown conns;
       (try Unix.close sock with Unix.Unix_error _ -> ());
       try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ())
     (fun () ->
@@ -1067,9 +1042,14 @@ let serve_socket t ~(path : string) : unit =
               | fd, _ -> (
                   match Fault.point "server.accept" with
                   | () -> (
-                      match Runtime.Workers.submit workers fd with
-                      | Runtime.Workers.Accepted -> ()
-                      | Runtime.Workers.Shed -> shed_conn t fd)
+                      match
+                        Runtime.Pool.submit conns
+                          ~discard:(fun () ->
+                            try Unix.close fd with Unix.Unix_error _ -> ())
+                          (fun () -> handle_conn t fd)
+                      with
+                      | Runtime.Pool.Accepted -> ()
+                      | Runtime.Pool.Shed -> shed_conn t fd)
                   | exception Fault.Injected (site, n) ->
                       (try Unix.close fd with Unix.Unix_error _ -> ());
                       Metrics.incr (m_connections ~outcome:"dropped");

@@ -11,7 +11,12 @@
 #                    back warm)
 #   chaos            restart with seeded server.conn/server.request
 #                    faults: dropped connections kill only their own
-#                    connection, the daemon stays up and sheds clean
+#                    connection (the client exits 1 or 2, never a
+#                    crash), the daemon stays up and sheds clean
+#   worker death     restart with a seeded runtime.pool.worker fault:
+#                    the first client's connection worker dies (exit
+#                    2), the next submit respawns it, the next client
+#                    gets pass 1's bytes and the daemon exits 0
 #
 # The daemon must answer a one-shot `explain --json` byte-for-byte, so
 # pass 1 is also diffed against the ordinary CLI.  Outputs land in
@@ -205,9 +210,15 @@ start_daemon chaos --chaos "7:server.conn=2,server.request=5"
 chaos_failures=0
 for round in 1 2; do
   for mode in $MODES; do
+    code=0
     "$BIN" client --socket "$SOCK" "$SRC" --annot "$ANNOT" --mode "$mode" \
       >"$OUT/chaos-$round-$mode.json" 2>"$OUT/chaos-$round-$mode.err" ||
-      chaos_failures=$((chaos_failures + 1))
+      code=$?
+    case $code in
+    0) ;;
+    1 | 2) chaos_failures=$((chaos_failures + 1)) ;;
+    *) fail "chaos pass: client exited $code, want 0, 1 or 2 (see $OUT/chaos-$round-$mode.err)" ;;
+    esac
   done
 done
 [ "$chaos_failures" -ge 1 ] ||
@@ -226,4 +237,29 @@ PID=
 [ "$chaos_exit" = 0 ] ||
   fail "chaos daemon exited $chaos_exit, want a clean 0"
 
-echo "serve_smoke: OK (cold, warm, concurrent, snapshot-restored and chaos passes agree)"
+echo "serve_smoke: worker-death pass (seeded runtime.pool.worker fault)"
+start_daemon death --chaos "7:runtime.pool.worker=1"
+# arrival 1 at the worker site kills the connection worker that takes
+# the first connection; its connection is closed unserved
+code=0
+"$BIN" client --socket "$SOCK" "$SRC" --annot "$ANNOT" --mode annotation \
+  >"$OUT/death-1.json" 2>"$OUT/death-1.err" || code=$?
+[ "$code" = 2 ] ||
+  fail "worker-death pass: first client exited $code, want 2 (see $OUT/death-1.err)"
+"$BIN" client --socket "$SOCK" "$SRC" --annot "$ANNOT" --mode annotation \
+  >"$OUT/death-2.json" 2>"$OUT/death-2.err" ||
+  fail "worker-death pass: the client after the death failed (see $OUT/death-2.err)"
+cmp -s "$OUT/pass1-annotation.json" "$OUT/death-2.json" ||
+  fail "worker-death pass: response differs from pass 1"
+stats "$OUT/stats-death.json"
+grep -q '"worker_deaths":1,"worker_respawns":1' "$OUT/stats-death.json" ||
+  fail "worker-death pass: stats lack one death and one respawn"
+"$BIN" client --socket "$SOCK" --op shutdown >/dev/null 2>&1 ||
+  fail "worker-death shutdown request failed"
+death_exit=0
+wait "$PID" || death_exit=$?
+PID=
+[ "$death_exit" = 0 ] ||
+  fail "worker-death daemon exited $death_exit, want a clean 0"
+
+echo "serve_smoke: OK (cold, warm, concurrent, snapshot-restored, chaos and worker-death passes agree)"

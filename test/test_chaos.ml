@@ -243,12 +243,10 @@ let test_parallel_for_after_shutdown () =
 let test_retry_transient () =
   let p = Runtime.Pool.create 1 in
   let attempts = Array.make 4 0 in
-  Runtime.Pool.parallel_for p ~retries:2 ~backoff_s:0.001
-    ~transient:(fun e -> e = Not_found)
-    ~chunks:4
-    (fun c ->
+  Runtime.Pool.parallel_for p ~retries:2 ~chunks:4 (fun c ->
       attempts.(c) <- attempts.(c) + 1;
-      if c = 2 && attempts.(c) = 1 then raise Not_found);
+      if c = 2 && attempts.(c) = 1 then
+        raise (Fault.Injected ("test.chunk", 1)));
   Alcotest.(check int) "chunk re-ran" 2 attempts.(2);
   Alcotest.(check int) "retry counted" 1 (Runtime.Pool.stats p).retries;
   Runtime.Pool.shutdown p

@@ -283,6 +283,28 @@ let test_pool_worker_takes_chunks () =
   cb "chunk 1 started while chunk 0 waited" false !timed_out;
   cb "the chunks ran on two domains" true (ran_on.(0) <> ran_on.(1))
 
+(* Two domains fork on one pool at once: each job's chunks are its own,
+   so every chunk of every job runs exactly once. *)
+let test_pool_concurrent_callers () =
+  let pool = Runtime.Pool.create 3 in
+  let jobs = 200 and chunks = 16 in
+  let caller () =
+    let hits =
+      Array.init jobs (fun _ -> Array.init chunks (fun _ -> Atomic.make 0))
+    in
+    Array.iter
+      (fun job ->
+        Runtime.Pool.parallel_for pool ~chunks (fun c -> Atomic.incr job.(c)))
+      hits;
+    hits
+  in
+  let other = Domain.spawn caller in
+  let mine = caller () in
+  let theirs = Domain.join other in
+  Runtime.Pool.shutdown pool;
+  let once = Array.for_all (Array.for_all (fun a -> Atomic.get a = 1)) in
+  cb "every chunk of every job ran exactly once" true (once mine && once theirs)
+
 (* Shutdown right after a job finds the workers in their spin window: it
    must stop them there, not after they park, and the pool must still
    refuse later jobs. *)
@@ -330,5 +352,6 @@ let suite =
     ("pool: exceptions", `Quick, test_pool_propagates_exception);
     ("pool: reuse", `Quick, test_pool_reusable);
     ("pool: workers take chunks", `Quick, test_pool_worker_takes_chunks);
+    ("pool: concurrent callers", `Quick, test_pool_concurrent_callers);
     ("pool: shutdown while spinning", `Quick, test_pool_shutdown_while_spinning);
   ]

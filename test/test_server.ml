@@ -9,10 +9,11 @@
     Concurrency and eviction (PR 10): the bounded LRU unit cache
     (recency-ordered eviction, byte cap, capped servers recomputing
     evicted units byte-identically, snapshots preserving recency across
-    a restart into a smaller cap), the {!Runtime.Workers} connection
-    pool (admission shed, handler-error containment, worker
-    death/respawn), parallel clients observing byte-identical responses
-    with exactly-summing hit counters, the cross-domain memo hub, and
+    a restart into a smaller cap), {!Runtime.Pool}'s item queue as the
+    connection pool (admission shed, handler-error containment, worker
+    death/respawn, shutdown discards and never respawns), parallel
+    clients observing byte-identical responses with exactly-summing
+    hit counters, the cross-domain memo hub, and
     the [server.conn] chaos site killing one connection, never the
     daemon. *)
 
@@ -20,7 +21,7 @@ module Json = Frontend.Json
 module Serve = Server.Serve
 module Store = Server.Store
 module Lru = Server.Lru
-module Workers = Runtime.Workers
+module Pool = Runtime.Pool
 
 let cb = Alcotest.(check bool)
 let ci = Alcotest.(check int)
@@ -389,7 +390,7 @@ let test_workers_shed_at_bound () =
   let gate_cv = Condition.create () in
   let gate_open = ref false in
   let handled = Atomic.make 0 in
-  let handler _ =
+  let item () =
     Mutex.lock gate_m;
     while not !gate_open do
       Condition.wait gate_cv gate_m
@@ -397,87 +398,133 @@ let test_workers_shed_at_bound () =
     Mutex.unlock gate_m;
     Atomic.incr handled
   in
-  let p =
-    Workers.create ~max_pending:2 ~size:1 ~handler ~discard:(fun _ -> ()) ()
-  in
+  let p = Pool.create ~max_pending:2 2 in
   (* the single worker blocks on the gate, so admission is deterministic:
      two in-flight items fill the bound, the third sheds *)
-  cb "first admitted" true (Workers.submit p 1 = Workers.Accepted);
-  cb "second admitted" true (Workers.submit p 2 = Workers.Accepted);
-  cb "third shed at the bound" true (Workers.submit p 3 = Workers.Shed);
-  let s = Workers.stats p in
-  ci "accepted" 2 s.Workers.accepted;
-  ci "shed" 1 s.Workers.shed;
-  ci "inflight" 2 s.Workers.inflight;
+  cb "first admitted" true (Pool.submit p item = Pool.Accepted);
+  cb "second admitted" true (Pool.submit p item = Pool.Accepted);
+  cb "third shed at the bound" true (Pool.submit p item = Pool.Shed);
+  let s = Pool.stats p in
+  ci "accepted" 2 s.Pool.accepted;
+  ci "shed" 1 s.Pool.shed;
+  ci "inflight" 2 s.Pool.inflight;
   Mutex.lock gate_m;
   gate_open := true;
   Condition.broadcast gate_cv;
   Mutex.unlock gate_m;
   spin_until ~what:"the pool to drain" (fun () -> Atomic.get handled >= 2);
-  Workers.shutdown p;
-  cb "post-shutdown submits shed" true (Workers.submit p 4 = Workers.Shed)
+  Pool.shutdown p;
+  cb "post-shutdown submits shed" true (Pool.submit p item = Pool.Shed)
 
 let test_workers_error_containment_and_sync_mode () =
-  (* size = 0: the caller is the worker *)
+  (* no workers: the caller runs the item *)
   let ran = ref 0 in
-  let p0 =
-    Workers.create ~size:0 ~handler:(fun _ -> incr ran) ~discard:(fun _ -> ())
-      ()
-  in
-  cb "sync submit accepted" true (Workers.submit p0 () = Workers.Accepted);
+  let p0 = Pool.create 1 in
+  cb "sync submit accepted" true
+    (Pool.submit p0 (fun () -> incr ran) = Pool.Accepted);
   ci "handler ran synchronously on the caller" 1 !ran;
-  Workers.shutdown p0;
-  (* a raising handler degrades its item; the worker survives *)
+  Pool.shutdown p0;
+  (* a raising item is discarded; the worker survives *)
   let discarded = Atomic.make 0 in
   let served = Atomic.make 0 in
-  let p =
-    Workers.create ~size:1
-      ~handler:(fun n -> if n = 1 then failwith "boom" else Atomic.incr served)
-      ~discard:(fun _ -> Atomic.incr discarded)
-      ()
-  in
-  ignore (Workers.submit p 1);
+  let discard () = Atomic.incr discarded in
+  let p = Pool.create 2 in
+  ignore (Pool.submit p ~discard (fun () -> failwith "boom"));
   spin_until ~what:"the handler error" (fun () ->
-      (Workers.stats p).Workers.handler_errors >= 1);
+      (Pool.stats p).Pool.handler_errors >= 1);
   ci "poisoned item discarded" 1 (Atomic.get discarded);
-  cb "pool still accepts" true (Workers.submit p 2 = Workers.Accepted);
+  cb "pool still accepts" true
+    (Pool.submit p ~discard (fun () -> Atomic.incr served) = Pool.Accepted);
   spin_until ~what:"the good item" (fun () -> Atomic.get served >= 1);
-  let s = Workers.stats p in
-  ci "one handler error" 1 s.Workers.handler_errors;
-  ci "no worker deaths" 0 s.Workers.deaths;
-  ci "worker still alive" 1 s.Workers.workers;
-  Workers.shutdown p
+  let s = Pool.stats p in
+  ci "one handler error" 1 s.Pool.handler_errors;
+  ci "no worker deaths" 0 s.Pool.deaths;
+  ci "worker still alive" 1 s.Pool.workers;
+  Pool.shutdown p
+
+(* Arrival 1 at the worker fault site kills the only worker's loop. *)
+let with_first_worker_killed f =
+  match Core.Fault.parse_spec "3:runtime.pool.worker=1" with
+  | Error e -> Alcotest.failf "spec rejected: %s" e
+  | Ok plan -> Core.Fault.with_plan plan f
 
 let test_workers_death_respawn () =
-  match Core.Fault.parse_spec "3:runtime.workers.worker=1" with
-  | Error e -> Alcotest.failf "spec rejected: %s" e
-  | Ok plan ->
-      Core.Fault.with_plan plan @@ fun () ->
-      let discarded = Atomic.make 0 in
-      let served = Atomic.make 0 in
-      let p =
-        Workers.create ~size:1
-          ~handler:(fun _ -> Atomic.incr served)
-          ~discard:(fun _ -> Atomic.incr discarded)
-          ()
-      in
-      (* arrival 1 at the worker fault site kills the domain's loop;
-         the item is discarded, not half-handled *)
-      ignore (Workers.submit p 1);
-      spin_until ~what:"the worker death" (fun () ->
-          (Workers.stats p).Workers.deaths >= 1);
-      ci "victim item discarded" 1 (Atomic.get discarded);
-      ci "nothing served yet" 0 (Atomic.get served);
-      (* the next submit heals the pool: a fresh domain takes the slot *)
-      cb "submit after death accepted" true
-        (Workers.submit p 2 = Workers.Accepted);
-      spin_until ~what:"the respawned worker" (fun () ->
-          Atomic.get served >= 1);
-      let s = Workers.stats p in
-      ci "one death" 1 s.Workers.deaths;
-      ci "one respawn" 1 s.Workers.respawns;
-      ci "pool back to size" 1 s.Workers.workers;
-      Workers.shutdown p
+  with_first_worker_killed @@ fun () ->
+  let discarded = Atomic.make 0 in
+  let served = Atomic.make 0 in
+  let discard () = Atomic.incr discarded in
+  let serve () = Atomic.incr served in
+  let p = Pool.create 2 in
+  (* the item the dying worker held is discarded, not half-handled *)
+  ignore (Pool.submit p ~discard serve);
+  spin_until ~what:"the worker death" (fun () ->
+      (Pool.stats p).Pool.deaths >= 1);
+  ci "victim item discarded" 1 (Atomic.get discarded);
+  ci "nothing served yet" 0 (Atomic.get served);
+  (* the next submit heals the pool: a fresh domain takes the slot *)
+  cb "submit after death accepted" true
+    (Pool.submit p ~discard serve = Pool.Accepted);
+  spin_until ~what:"the respawned worker" (fun () -> Atomic.get served >= 1);
+  let s = Pool.stats p in
+  ci "one death" 1 s.Pool.deaths;
+  ci "one respawn" 1 s.Pool.respawns;
+  ci "pool back to size" 1 s.Pool.workers;
+  Pool.shutdown p
+
+(* A dead worker must stay dead once shutdown began: a respawn then
+   would spawn a domain that nothing joins. *)
+let test_submit_after_shutdown_never_respawns () =
+  with_first_worker_killed @@ fun () ->
+  let p = Pool.create 2 in
+  ignore (Pool.submit p ignore);
+  spin_until ~what:"the worker death" (fun () ->
+      (Pool.stats p).Pool.deaths >= 1);
+  Pool.shutdown p;
+  cb "submit after shutdown sheds" true (Pool.submit p ignore = Pool.Shed);
+  let s = Pool.stats p in
+  ci "no respawn" 0 s.Pool.respawns;
+  ci "no workers" 0 s.Pool.workers
+
+let test_shutdown_discards_queued_items () =
+  let started = Atomic.make false in
+  let release = Atomic.make false in
+  let p = Pool.create 2 in
+  let blocker () =
+    Atomic.set started true;
+    while not (Atomic.get release) do
+      Domain.cpu_relax ()
+    done
+  in
+  let blocker_discards = Atomic.make 0 in
+  ignore
+    (Pool.submit p ~discard:(fun () -> Atomic.incr blocker_discards) blocker);
+  spin_until ~what:"the blocking item" (fun () -> Atomic.get started);
+  (* the only worker is busy, so these five stay queued *)
+  let ran = Array.init 5 (fun _ -> Atomic.make 0) in
+  let discards = Array.init 5 (fun _ -> Atomic.make 0) in
+  Array.iteri
+    (fun i d ->
+      cb "queued item accepted" true
+        (Pool.submit p
+           ~discard:(fun () -> Atomic.incr d)
+           (fun () -> Atomic.incr ran.(i))
+        = Pool.Accepted))
+    discards;
+  ci "five queued plus one running" 6 (Pool.stats p).Pool.inflight;
+  (* shutdown discards the queue, then joins the busy worker *)
+  let closer = Domain.spawn (fun () -> Pool.shutdown p) in
+  spin_until ~what:"the queued discards" (fun () ->
+      Array.for_all (fun d -> Atomic.get d >= 1) discards);
+  Atomic.set release true;
+  Domain.join closer;
+  Pool.shutdown p;
+  Array.iteri
+    (fun i d ->
+      ci (Printf.sprintf "item %d discarded exactly once" i) 1 (Atomic.get d);
+      ci (Printf.sprintf "item %d never ran" i) 0 (Atomic.get ran.(i)))
+    discards;
+  ci "the running item finished, not discarded" 0 (Atomic.get blocker_discards);
+  ci "nothing in flight" 0 (Pool.stats p).Pool.inflight
 
 (* ---------------- concurrent clients ---------------- *)
 
@@ -683,10 +730,14 @@ let suite =
       `Quick test_snapshot_preserves_recency;
     Alcotest.test_case "workers shed deterministically at the bound" `Quick
       test_workers_shed_at_bound;
-    Alcotest.test_case "workers contain handler errors; size 0 is synchronous"
+    Alcotest.test_case "workers contain handler errors; size 1 is synchronous"
       `Quick test_workers_error_containment_and_sync_mode;
     Alcotest.test_case "worker death discards one item, pool respawns" `Quick
       test_workers_death_respawn;
+    Alcotest.test_case "submit after shutdown sheds and never respawns" `Quick
+      test_submit_after_shutdown_never_respawns;
+    Alcotest.test_case "shutdown discards each queued item exactly once"
+      `Quick test_shutdown_discards_queued_items;
     Alcotest.test_case "4 concurrent clients: byte-identity + exact counters"
       `Quick test_concurrent_clients_byte_identical;
     Alcotest.test_case "concurrent misses on one unit agree byte-for-byte"
