@@ -734,10 +734,6 @@ let suite =
       `Quick test_workers_error_containment_and_sync_mode;
     Alcotest.test_case "worker death discards one item, pool respawns" `Quick
       test_workers_death_respawn;
-    Alcotest.test_case "submit after shutdown sheds and never respawns" `Quick
-      test_submit_after_shutdown_never_respawns;
-    Alcotest.test_case "shutdown discards each queued item exactly once"
-      `Quick test_shutdown_discards_queued_items;
     Alcotest.test_case "4 concurrent clients: byte-identity + exact counters"
       `Quick test_concurrent_clients_byte_identical;
     Alcotest.test_case "concurrent misses on one unit agree byte-for-byte"
@@ -748,4 +744,9 @@ let suite =
       `Quick test_conn_fault_drops_one_connection;
     Alcotest.test_case "live socket serves concurrent clients identically"
       `Quick test_serve_socket_concurrent_clients;
+    (* appended last so the earlier cases keep their Alcotest indices *)
+    Alcotest.test_case "submit after shutdown sheds and never respawns" `Quick
+      test_submit_after_shutdown_never_respawns;
+    Alcotest.test_case "shutdown discards each queued item exactly once"
+      `Quick test_shutdown_discards_queued_items;
   ]
