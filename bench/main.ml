@@ -2,7 +2,7 @@
    evaluation section, plus the ablation studies called out in DESIGN.md.
 
    Usage:
-     bench/main.exe [table1] [table2] [fig20] [micro] [ablate]
+     bench/main.exe [table1] [table2] [fig20] [ablate]
                     [serve-bench] [all]
                     [--jobs N] [--json FILE] [--validate] [--time-exec]
                     [--chaos SEED[:SPEC]] [--deadline-ms N] [--retries N]
@@ -12,7 +12,7 @@
      bench/main.exe compare OLD.json NEW.json
      bench/main.exe check-counters NEW.json BASELINE.json
    With no task argument everything runs (the paper's artifacts plus the
-   microbenchmarks and ablations).
+   ablations).
 
    --jobs N     shard the table2 suite matrix across N domains (driver)
    --json FILE  write the table2 run as machine-readable bench points
@@ -264,62 +264,6 @@ let fig20 () =
             f.f_no_inline f.f_conventional f.f_annotation)
         Perfect.Suite.all)
     [ 4; 8 ];
-  say "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Microbenchmarks (bechamel)                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  rule ();
-  say "MICROBENCHMARKS: compiler phases on MDG (bechamel, OLS ns/run)\n";
-  rule ();
-  let open Bechamel in
-  let source = Perfect.Mdg.source in
-  let program = Frontend.Resolve.parse source in
-  let annots = Core.Annot_parser.parse_annotations Perfect.Mdg.annotations in
-  let tests =
-    Test.make_grouped ~name:"phases"
-      [
-        Test.make ~name:"parse+resolve"
-          (Staged.stage (fun () -> ignore (Frontend.Resolve.parse source)));
-        Test.make ~name:"normalize"
-          (Staged.stage (fun () -> ignore (Core.Pipeline.normalize program)));
-        Test.make ~name:"parallelize"
-          (Staged.stage (fun () ->
-               ignore
-                 (Parallelizer.Parallelize.run
-                    (Core.Pipeline.normalize program))));
-        Test.make ~name:"annot-inline"
-          (Staged.stage (fun () ->
-               ignore (Core.Annot_inline.run ~annots program)));
-        Test.make ~name:"pipeline-annotation"
-          (Staged.stage (fun () ->
-               ignore
-                 (Core.Pipeline.run ~annots
-                    ~mode:Core.Pipeline.Annotation_based program)));
-        Test.make ~name:"pipeline-conventional"
-          (Staged.stage (fun () ->
-               ignore
-                 (Core.Pipeline.run ~mode:Core.Pipeline.Conventional program)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some [ est ] -> say "%-36s %12.3f ms/run\n" name (est /. 1e6)
-      | _ -> say "%-36s (no estimate)\n" name)
-    rows;
   say "\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1065,7 +1009,7 @@ let cmd_check_counters new_path baseline_path =
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [table1|table2|fig20|micro|ablate|serve-bench|all]... \
+    "usage: main.exe [table1|table2|fig20|ablate|serve-bench|all]... \
      [--jobs N] [--json FILE] [--validate] [--explain-diff] [--trace-out \
      FILE] [--time-exec]\n\
     \                [--chaos SEED[:SPEC]] [--deadline-ms N] [--retries N] \
@@ -1199,7 +1143,6 @@ let () =
                ~retries:!retries ?growth_budget:!growth_budget
                ~stable_json:!stable_json ()
          | "fig20" -> fig20 ()
-         | "micro" -> micro ()
          | "ablate" -> ablate ()
          | "serve-bench" ->
              serve_bench ~jobs:!jobs ~clients:!clients ~reps:!reps
@@ -1213,7 +1156,6 @@ let () =
                ~retries:!retries ?growth_budget:!growth_budget
                ~stable_json:!stable_json ();
              fig20 ();
-             micro ();
              ablate ()
          | other ->
              Printf.eprintf "unknown benchmark %s\n" other;

@@ -186,69 +186,19 @@ let with_trace trace_out f =
       write ();
       r
 
-(* Parse the source and annotation text under the chosen robustness —
-   the commands that plan on the pristine program (demand mode, the
-   plan subcommand) need the AST before any inlining touches it. *)
-let parse_program ~keep_going ~max_errors source annot_source =
-  if keep_going then
-    robust (fun () ->
-        let p, ds = Frontend.Resolve.parse_robust ~max_errors source in
-        let annots, ads =
-          if String.trim annot_source = "" then ([], [])
-          else
-            match Core.Annot_parser.parse_annotations annot_source with
-            | a -> (a, [])
-            | exception Core.Annot_parser.Annot_parse_error m ->
-                ( [],
-                  [
-                    Core.Diag.make Core.Diag.Annot
-                      ("annotation file rejected ("
-                      ^ m
-                      ^ "); continuing without annotations");
-                  ] )
-        in
-        (p, annots, ds @ ads))
-  else
-    strict (fun () ->
-        let p = Frontend.Resolve.parse source in
-        let annots =
-          if String.trim annot_source = "" then []
-          else Core.Annot_parser.parse_annotations annot_source
-        in
-        (p, annots, []))
-
-(* One pipeline entry for the FILE.f commands.  Demand must route
-   through the verdict-guided planner — a plain [run_source] would
-   silently skip the planning fixpoint and behave like no-inlining.
-   The planner drives the salvaging pipeline internally (structured
-   diagnostics, never a bare exception); without --keep-going an error
-   diagnostic still degrades the exit status per the 0/1 contract. *)
-let run_pipeline ?prof ~keep_going ~max_errors ~mode ~annot_source source =
-  match mode with
-  | Core.Pipeline.Demand ->
-      let program, annots, parse_diags =
-        parse_program ~keep_going ~max_errors source annot_source
-      in
-      let dg = Core.Diag.collector ~max_errors () in
-      List.iter (Core.Diag.emit dg) parse_diags;
-      let r, plan =
-        robust (fun () ->
-            strict (fun () ->
-                Core.Prof.with_opt prof (fun () ->
-                    Planner.run ~annots ~dg program)))
-      in
-      (r, Some plan)
-  | _ ->
-      let r =
-        if keep_going then
-          robust (fun () ->
-              Core.Pipeline.run_source_robust ?prof ~max_errors ~mode
-                ~annot_source source)
-        else
-          strict (fun () ->
-              Core.Pipeline.run_source ?prof ~mode ~annot_source source)
-      in
-      (r, None)
+(* One pipeline entry for the FILE.f commands: the four-configuration
+   entry the daemon and the suite driver share.  --keep-going salvages
+   (parse errors and analysis errors each capped at --max-errors);
+   without it the first fault is fatal.  Demand routes through the
+   verdict-guided planner, which always runs the salvaging pipeline —
+   an error diagnostic still degrades the exit status per the 0/1
+   contract. *)
+let run_pipeline ?prof ?growth_budget ?max_rounds ~keep_going ~max_errors
+    ~mode ~annot_source source =
+  robust @@ fun () ->
+  strict @@ fun () ->
+  Planner.compile_source ?prof ~strict:(not keep_going) ?growth_budget
+    ?max_rounds ~max_errors ~mode ~annot_source source
 
 let compile_run source_file annot_file mode out keep_going max_errors profile
     trace_out chaos =
@@ -281,19 +231,21 @@ let report_run source_file annot_file keep_going max_errors chaos =
   let source, annot_source = load source_file annot_file in
   with_chaos chaos @@ fun () ->
   (* parse once so loop ids are comparable across configurations *)
+  let dg = Core.Diag.collector ~max_errors () in
   let program, annots, parse_diags =
-    parse_program ~keep_going ~max_errors source annot_source
+    robust (fun () ->
+        strict (fun () ->
+            Core.Pipeline.parse_source ~strict:(not keep_going) ~max_errors
+              ~dg ~annot_source source))
   in
+  let parse_diags = parse_diags @ Core.Diag.to_list dg in
   let run_mode mode =
-    match mode with
-    | Core.Pipeline.Demand ->
-        let dg = Core.Diag.collector ~max_errors () in
-        fst
-          (robust (fun () ->
-               strict (fun () -> Planner.run ~annots ~dg program)))
-    | _ ->
-        if keep_going then Core.Pipeline.run_robust ~annots ~mode program
-        else strict (fun () -> Core.Pipeline.run ~annots ~mode program)
+    let dg = Core.Diag.collector ~max_errors () in
+    fst
+      (robust (fun () ->
+           strict (fun () ->
+               Planner.compile ~strict:(not keep_going) ~annots ~dg ~mode
+                 program)))
   in
   let all_diags = ref parse_diags in
   let base = run_mode Core.Pipeline.No_inlining in
@@ -472,19 +424,16 @@ let plan_run source_file annot_file growth_budget max_rounds json keep_going
   with_trace trace_out @@ fun () ->
   if growth_budget <= 0.0 then fail_cli "--growth-budget must be positive";
   if max_rounds < 1 then fail_cli "--max-rounds must be at least 1";
-  let program, annots, parse_diags =
-    parse_program ~keep_going ~max_errors source annot_source
-  in
-  let dg = Core.Diag.collector ~max_errors () in
-  List.iter (Core.Diag.emit dg) parse_diags;
   let r, plan =
-    robust (fun () ->
-        strict (fun () ->
-            Planner.run ~growth_budget ~max_rounds ~annots ~dg program))
+    run_pipeline ~growth_budget ~max_rounds ~keep_going ~max_errors
+      ~mode:Core.Pipeline.Demand ~annot_source source
   in
-  if json then
-    print_string (Frontend.Json.to_string (Planner.to_json plan) ^ "\n")
-  else print_string (Planner.render plan);
+  Option.iter
+    (fun plan ->
+      print_string
+        (if json then Frontend.Json.to_string (Planner.to_json plan) ^ "\n"
+         else Planner.render plan))
+    plan;
   print_diags r.res_diags;
   finish_with r.res_diags
 

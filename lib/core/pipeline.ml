@@ -175,18 +175,6 @@ let run ?prof ?(par_config = Parallelizer.Parallelize.default_config)
     res_validation = None;
   }
 
-(** Parse + resolve source and annotations, then run. *)
-let run_source ?prof ?par_config ?inline_config ?annot_config ~mode
-    ?(annot_source = "") (source : string) : result =
-  Prof.with_opt prof @@ fun () ->
-  let program = phase "parse" (fun () -> Resolve.parse source) in
-  let annots =
-    Prof.time "parse" (fun () ->
-        if String.trim annot_source = "" then []
-        else Annot_parser.parse_annotations annot_source)
-  in
-  run ?par_config ?inline_config ?annot_config ~annots ~mode program
-
 (* ------------------------------------------------------------------ *)
 (* Fault-isolated pipeline: every pass runs behind a per-unit barrier
    so one sick unit degrades locally instead of killing the program. *)
@@ -385,20 +373,23 @@ let run_robust ?prof ?(par_config = Parallelizer.Parallelize.default_config)
     res_validation = validation;
   }
 
-(** Robust end-to-end entry: salvaging parse (units that fail to parse
-    are dropped with located diagnostics), annotation-file faults degrade
-    to no annotations, then {!run_robust}. *)
-let run_source_robust ?prof ?par_config ?inline_config ?annot_config
-    ?max_errors ?validate ?validate_threads ~mode ?(annot_source = "")
-    (source : string) : result =
-  Prof.with_opt prof @@ fun () ->
-  let dg = Diag.collector ?max_errors () in
+(** Parse source and annotation text.  Salvaging by default: units that
+    fail to parse are dropped with located diagnostics (returned, capped
+    at [max_errors], outside [dg]'s budget) and a rejected annotation
+    file degrades to running without annotations, with an error on [dg].
+    With [~strict:true] the first fault raises ({!Diag.Fatal},
+    {!Annot_parser.Annot_parse_error}). *)
+let parse_source ?(strict = false) ?max_errors ~dg ~annot_source
+    (source : string) =
   let program, parse_diags =
-    phase "parse" (fun () -> Resolve.parse_robust ?max_errors source)
+    phase "parse" (fun () ->
+        if strict then (Resolve.parse source, [])
+        else Resolve.parse_robust ?max_errors source)
   in
   let annots =
     Prof.time "parse" @@ fun () ->
     if String.trim annot_source = "" then []
+    else if strict then Annot_parser.parse_annotations annot_source
     else
       try Annot_parser.parse_annotations annot_source with
       | Annot_parser.Annot_parse_error why ->
@@ -410,10 +401,16 @@ let run_source_robust ?prof ?par_config ?inline_config ?annot_config
           Diag.emit dg d;
           []
   in
-  let r = run_robust ?par_config ?inline_config ?annot_config ~annots ~dg
-      ?validate ?validate_threads ~mode program
-  in
-  { r with res_diags = parse_diags @ r.res_diags }
+  (program, annots, parse_diags)
+
+(** Reset every domain-local gensym a compilation draws from, so ids and
+    generated names are a pure function of the source, independent of
+    what this domain compiled before. *)
+let reset_gensyms () =
+  Ast.reset_ids ();
+  Analysis.Sections.reset_gensym ();
+  Inliner.Inline.reset_gensym ();
+  Annot_inline.reset_gensym ()
 
 (** Parallel-loop accounting for Table II: given a baseline (no-inlining)
     result and a mode result, compute (#par, #loss, #extra) counting only

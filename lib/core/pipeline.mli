@@ -25,8 +25,7 @@ type result = {
   res_annot_stats : Annot_inline.stats option;  (** [Annotation_based] only *)
   res_reverse_stats : Reverse.stats option;  (** [Annotation_based] only *)
   res_diags : Diag.t list;
-      (** diagnostics accumulated by the robust entry points; [[]] from
-          {!run} / {!run_source} *)
+      (** diagnostics accumulated by {!run_robust}; [[]] from {!run} *)
   res_validation : Checker.Oracle.verdict option;
       (** validation-oracle verdict (race detection + serial/parallel
           differential) when {!run_robust} ran with [~validate:true];
@@ -67,17 +66,6 @@ val run :
   Ast.program ->
   result
 
-(** Parse source (and annotation source) and run. *)
-val run_source :
-  ?prof:Prof.t ->
-  ?par_config:Parallelizer.Parallelize.config ->
-  ?inline_config:Inliner.Inline.config ->
-  ?annot_config:Annot_inline.config ->
-  mode:mode ->
-  ?annot_source:string ->
-  string ->
-  result
-
 (** Fault-tolerant variant of {!run}: every pass runs behind a per-unit
     fault barrier, degrading locally instead of killing the run.  The
     degradation ladder is annotation-based inlining (per call site) →
@@ -106,22 +94,28 @@ val run_robust :
   Ast.program ->
   result
 
-(** Robust end-to-end entry: salvaging parse (bad units are dropped with
-    located diagnostics), annotation-file faults degrade to running
-    without annotations, then {!run_robust}.  [max_errors] caps the
-    parser's error budget (default {!Diag.default_max_errors}). *)
-val run_source_robust :
-  ?prof:Prof.t ->
-  ?par_config:Parallelizer.Parallelize.config ->
-  ?inline_config:Inliner.Inline.config ->
-  ?annot_config:Annot_inline.config ->
+(** Parse source and annotation text under one error rule for every
+    configuration.  Salvaging by default: units that fail to parse are
+    dropped with located diagnostics — returned, capped at [max_errors]
+    (default {!Diag.default_max_errors}), and kept outside [dg]'s error
+    budget — and a rejected annotation file degrades to running without
+    annotations, with an error on [dg].  With [~strict:true] the first
+    fault raises ({!Diag.Fatal}, {!Annot_parser.Annot_parse_error}) and
+    the returned diagnostics are [[]].  The parse is timed in the
+    ["parse"] pass bucket. *)
+val parse_source :
+  ?strict:bool ->
   ?max_errors:int ->
-  ?validate:bool ->
-  ?validate_threads:int ->
-  mode:mode ->
-  ?annot_source:string ->
+  dg:Diag.collector ->
+  annot_source:string ->
   string ->
-  result
+  Ast.program * Annot_ast.annotation list * Diag.t list
+
+(** Reset every domain-local gensym a compilation draws from (statement,
+    loop and tag ids, generated names), so a compilation's output is a
+    pure function of its source — independent of task order, domain
+    placement and what the domain compiled before. *)
+val reset_gensyms : unit -> unit
 
 (** Table II accounting: [(par, loss, extra)] of a configuration against
     the no-inlining baseline, counting only loops of the original program;

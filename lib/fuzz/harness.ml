@@ -41,18 +41,9 @@ let mode_of_seed seed : Core.Pipeline.mode =
   | 1 -> Conventional
   | _ -> Annotation_based
 
-(* Fresh-compilation hygiene: without this, statement/loop ids depend on
-   how many programs ran earlier in the process and corpora would not be
-   reproducible run-to-run. *)
-let reset_gensyms () =
-  Frontend.Ast.reset_ids ();
-  Analysis.Sections.reset_gensym ();
-  Inliner.Inline.reset_gensym ();
-  Core.Annot_inline.reset_gensym ()
-
 (** Compile-and-validate one seed.  Never raises. *)
 let run_one ?(mutate = false) ~seed () : outcome =
-  reset_gensyms ();
+  Core.Pipeline.reset_gensyms ();
   let source =
     if mutate then Gen.source_mutated ~seed else Gen.source ~seed
   in
@@ -69,8 +60,8 @@ let run_one ?(mutate = false) ~seed () : outcome =
       o_verdict = None;
     }
   in
-  match Core.Pipeline.run_source_robust ~validate:true ~mode source with
-  | res ->
+  match Planner.compile_source ~validate:true ~mode source with
+  | res, _ ->
       {
         base with
         o_diags = res.res_diags;

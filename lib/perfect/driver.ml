@@ -69,14 +69,8 @@ let configs =
     Pipeline.Demand;
   ]
 
-(** Reset every domain-local gensym the compilation pipeline draws from.
-    Called once per task; makes ids deterministic per benchmark source
-    independent of task order and domain placement. *)
-let reset_gensyms () =
-  Frontend.Ast.reset_ids ();
-  Analysis.Sections.reset_gensym ();
-  Inliner.Inline.reset_gensym ();
-  Annot_inline.reset_gensym ()
+(** {!Pipeline.reset_gensyms}, called once per task. *)
+let reset_gensyms = Pipeline.reset_gensyms
 
 (* Intermediate per-task record, before baseline-relative accounting. *)
 type task_result = {
@@ -104,17 +98,8 @@ let run_task ?par_config ?growth_budget ?validate ?validate_threads ?span
       reset_gensyms ();
       let program = Prof.time "parse" (fun () -> Bench_def.parse b) in
       let annots = Prof.time "parse" (fun () -> Bench_def.annots b) in
-      match mode with
-      | Pipeline.Demand ->
-          let r, pl =
-            Planner.run ?growth_budget ?par_config ?validate ?validate_threads
-              ~annots ~dg program
-          in
-          (r, Some pl)
-      | _ ->
-          ( Pipeline.run_robust ?par_config ?validate ?validate_threads ~annots
-              ~dg ~mode program,
-            None )
+      Planner.compile ?growth_budget ?par_config ?validate ?validate_threads
+        ~annots ~dg ~mode program
     with
     | r, pl -> (Some (r, pl), [])
     | exception e ->

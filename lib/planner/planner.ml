@@ -522,6 +522,51 @@ let run ?(growth_budget = default_growth_budget)
     } )
 
 (* ------------------------------------------------------------------ *)
+(* One entry for the four configurations                                *)
+(* ------------------------------------------------------------------ *)
+
+(** Compile a parsed program under one of the four configurations — the
+    path the CLI, the daemon, the suite driver and the fuzz harness all
+    share.  [Demand] plans through {!run}; the three pipeline modes run
+    {!Pipeline.run_robust}, or {!Pipeline.run} with [~strict:true] (the
+    first fault raises; no validation).  The plan is [Some] exactly for
+    [Demand]. *)
+let compile ?(strict = false) ?growth_budget ?max_rounds ?par_config ?annots
+    ?dg ?validate ?validate_threads ~(mode : Pipeline.mode)
+    (program : Ast.program) : Pipeline.result * plan option =
+  match mode with
+  | Pipeline.Demand ->
+      let r, pl =
+        run ?growth_budget ?max_rounds ?par_config ?annots ?dg ?validate
+          ?validate_threads program
+      in
+      (r, Some pl)
+  | mode when strict -> (Pipeline.run ?par_config ?annots ~mode program, None)
+  | mode ->
+      ( Pipeline.run_robust ?par_config ?annots ?dg ?validate ?validate_threads
+          ~mode program,
+        None )
+
+(** {!compile} over source text, after {!Pipeline.parse_source}.  One
+    error rule holds in every configuration: parse errors and analysis
+    errors are each capped at [max_errors] (default
+    {!Diag.default_max_errors}); the parse diagnostics lead [res_diags].
+    [prof] is installed for the duration, parse included. *)
+let compile_source ?prof ?strict ?growth_budget ?max_rounds ?max_errors
+    ?validate ~(mode : Pipeline.mode) ?(annot_source = "") (source : string) :
+    Pipeline.result * plan option =
+  Prof.with_opt prof @@ fun () ->
+  let dg = Diag.collector ?max_errors () in
+  let program, annots, parse_diags =
+    Pipeline.parse_source ?strict ?max_errors ~dg ~annot_source source
+  in
+  let r, pl =
+    compile ?strict ?growth_budget ?max_rounds ~annots ~dg ?validate ~mode
+      program
+  in
+  ({ r with Pipeline.res_diags = parse_diags @ r.Pipeline.res_diags }, pl)
+
+(* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
 (* ------------------------------------------------------------------ *)
 

@@ -72,10 +72,9 @@ let protocol_version = 1
 (* Request log                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** Severity of one request-log line; [--log-level] filters below. *)
+(** Severity of one request-log line, least severe first; [--log-level]
+    filters below. *)
 type log_level = L_debug | L_info | L_warn | L_error
-
-let level_rank = function L_debug -> 0 | L_info -> 1 | L_warn -> 2 | L_error -> 3
 
 let level_name = function
   | L_debug -> "debug"
@@ -124,8 +123,9 @@ type t = {
 }
 
 (* Live telemetry handles.  The per-op request families are interned on
-   demand (op and cache outcome are only known per request); interning
-   is a mutex + hashtable probe, and only happens with a registry armed. *)
+   demand (op and cache outcome are only known per request) under the
+   closed label set of {!op_label}; interning is a mutex + hashtable
+   probe, and only happens with a registry armed. *)
 let g_uptime =
   Metrics.gauge "parinline_uptime_seconds" ~help:"daemon uptime at scrape time"
 
@@ -170,7 +170,7 @@ let next_cid t = Printf.sprintf "c%d" (Atomic.fetch_and_add t.srv_cid 1)
 let log_line t ~(level : log_level) (fields : (string * Json.t) list) : unit =
   match t.srv_log with
   | None -> ()
-  | Some lg when level_rank level < level_rank lg.lg_min -> ()
+  | Some lg when level < lg.lg_min -> ()
   | Some lg -> (
       let line =
         Json.to_string
@@ -240,33 +240,6 @@ let unit_hash ~op ~mode ~growth_budget ~max_rounds ~source ~annot =
             source;
             annot;
           ]))
-
-(* Responses.  The envelope around a cached body is assembled by string
-   concatenation so a hit replays the stored bytes verbatim; the
-   request_id lives only in the envelope, so the cached [result] stays
-   byte-identical across requests. *)
-let ok_envelope ~rid ~id ~cached ~hash body =
-  Printf.sprintf
-    "{\"id\":%d,\"ok\":true,\"cached\":%b,\"hash\":\"%s\",\"request_id\":\"%s\",\"result\":%s}"
-    id cached hash rid body
-
-(* Error responses thread the request id through every rendered Diag so
-   a stderr line, a log line and a response are correlatable. *)
-let error_response ?rid ~id (ds : Diag.t list) =
-  let tag r = match rid with None -> r | Some rid -> "req " ^ rid ^ ": " ^ r in
-  let rendered = List.map (fun d -> tag (Diag.render d)) ds in
-  Json.to_string
-    (Json.Obj
-       ([ ("id", Json.Int id); ("ok", Json.Bool false) ]
-       @ (match rid with
-         | None -> []
-         | Some rid -> [ ("request_id", Json.Str rid) ])
-       @ [
-           ( "error",
-             Json.Str
-               (match rendered with [] -> "request failed" | r :: _ -> r) );
-           ("diags", Json.List (List.map (fun r -> Json.Str r) rendered));
-         ]))
 
 let counters_json (c : Prof.counters) : Json.t =
   Json.Obj
@@ -369,9 +342,8 @@ let create ?(jobs = 1) ?(conn_jobs = 0) ?(backlog = 16) ?(max_inflight = 64)
     }
   in
   Metrics.install t.srv_metrics;
-  (* seed the event-driven gauges so a scrape before any traffic still
-     exposes the families *)
-  Metrics.set_gauge g_inflight 0.0;
+  (* seed the event-driven gauge so a scrape before any traffic still
+     exposes the family *)
   Metrics.set_gauge g_connections 0.0;
   let diags =
     match cache_dir with
@@ -443,63 +415,155 @@ let drain t : Diag.t list =
   ds
 
 (* ------------------------------------------------------------------ *)
+(* The reply path                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-op request families carry a closed label set: the nine
+   protocol ops plus the three transport-level failures.  Any other op
+   string a client sends is counted as "unknown" (and never timed), so
+   no request can mint a new series. *)
+let op_label = function
+  | ( "ping" | "stats" | "metrics" | "analyze" | "compile" | "plan" | "batch"
+    | "snapshot" | "shutdown" | "parse" | "accept" | "connection" ) as op ->
+      op
+  | _ -> "unknown"
+
+(* A request's op; an absent op means analyze. *)
+let op_of (j : Json.t) =
+  match Json.member "op" j with Json.Null -> "analyze" | v -> Json.to_str v
+
+(** What one request produced; {!reply} renders every shape. *)
+type outcome =
+  | Done of (unit -> (string * Json.t) list)
+      (** control-op success: the envelope fields after [request_id],
+          computed once the request is counted (a scrape sees itself) *)
+  | Served of { cached : bool; hash : string; body : string }
+      (** a work result; the stored body is spliced in verbatim, so a
+          hit replays the cached bytes and [request_id] stays out of it *)
+  | Batch of string list  (** sub-responses, in request order *)
+  | Failed of Diag.t list
+  | Overloaded of string  (** admission refusal, with its message *)
+
+(* The one reply path of the daemon.  Mint the request id (a batch's
+   chunk failures reuse the batch's), run the op, count it under
+   {!op_label}, write its log line (raw op kept), then render the
+   envelope.  Work requests ([~timed]) also land in the latency
+   histogram and log their unit hash, cache outcome, latency and the
+   chaos sites that fired; a failure or a fault lifts the line to
+   warn.  Error envelopes thread the request id through every rendered
+   Diag, so a stderr line, a log line and a response correlate. *)
+let reply t ?rid ?(timed = false) ~level ~op ~id (f : string -> outcome) :
+    string =
+  let rid = match rid with Some r -> r | None -> next_rid t in
+  let t0 = Prof.monotonic_ns () in
+  let faults0 = Fault.armed_fired_count () in
+  let o = f rid in
+  let ok = match o with Failed _ | Overloaded _ -> false | _ -> true in
+  let label = op_label op in
+  let extra, faulted =
+    match o with
+    | _ when timed ->
+        let dur_ns = Int64.to_int (Int64.sub (Prof.monotonic_ns ()) t0) in
+        let cache, hash =
+          match o with
+          | Served s ->
+              ((if s.cached then "hit" else "miss"), [ ("hash", Json.Str s.hash) ])
+          | _ -> ("error", [])
+        in
+        if Metrics.on () && label <> "unknown" then
+          Metrics.observe_ns (m_request_hist ~op:label ~cache) dur_ns;
+        let sites = Fault.armed_fired_since faults0 in
+        ( hash
+          @ [
+              ("cache", Json.Str cache);
+              ("latency_ms", Json.Float (float_of_int dur_ns /. 1e6));
+              ("faults", Json.List (List.map (fun s -> Json.Str s) sites));
+            ],
+          sites <> [] )
+    | Overloaded _ -> ([ ("event", Json.Str "conn_shed") ], false)
+    | _ -> ([], false)
+  in
+  if Metrics.on () then
+    Metrics.incr (m_requests ~op:label ~status:(if ok then "ok" else "error"));
+  log_line t
+    ~level:(if ok && not faulted then level else max level L_warn)
+    ([
+       ("request_id", Json.Str rid);
+       ("op", Json.Str op);
+       ("id", Json.Int id);
+       ("ok", Json.Bool ok);
+     ]
+    @ extra);
+  let failure ?(flags = []) msg rendered =
+    Json.to_string
+      (Json.Obj
+         ([ ("id", Json.Int id); ("ok", Json.Bool false) ]
+         @ flags
+         @ [
+             ("request_id", Json.Str rid);
+             ("error", Json.Str msg);
+             ("diags", Json.List (List.map (fun r -> Json.Str r) rendered));
+           ]))
+  in
+  match o with
+  | Done fields ->
+      Json.to_string
+        (Json.Obj
+           ([
+              ("id", Json.Int id);
+              ("ok", Json.Bool true);
+              ("op", Json.Str op);
+              ("request_id", Json.Str rid);
+            ]
+           @ fields ()))
+  | Served { cached; hash; body } ->
+      Printf.sprintf
+        "{\"id\":%d,\"ok\":true,\"cached\":%b,\"hash\":\"%s\",\"request_id\":\"%s\",\"result\":%s}"
+        id cached hash rid body
+  | Batch rs ->
+      Printf.sprintf
+        "{\"id\":%d,\"ok\":true,\"request_id\":\"%s\",\"responses\":[%s]}" id
+        rid (String.concat "," rs)
+  | Failed ds ->
+      let rendered =
+        List.map (fun d -> "req " ^ rid ^ ": " ^ Diag.render d) ds
+      in
+      failure
+        (match rendered with [] -> "request failed" | r :: _ -> r)
+        rendered
+  | Overloaded msg ->
+      failure ~flags:[ ("overloaded", Json.Bool true) ] msg
+        [ Diag.render (Diag.make Diag.Exec msg) ]
+
+(* ------------------------------------------------------------------ *)
 (* Unit work                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Same reset as the bench driver: ids and generated names become a pure
-   function of the unit source, independent of what this domain compiled
-   before — the cache-miss path must produce the bytes a fresh one-shot
-   process would. *)
-let reset_gensyms () =
-  Frontend.Ast.reset_ids ();
-  Analysis.Sections.reset_gensym ();
-  Inliner.Inline.reset_gensym ();
-  Annot_inline.reset_gensym ()
+(** {!Pipeline.reset_gensyms}: every cache miss compiles from the state
+    a fresh one-shot process starts in. *)
+let reset_gensyms = Pipeline.reset_gensyms
 
 let render_diags ds = Json.List (List.map (fun d -> Json.Str (Diag.render d)) ds)
 
-(* Salvaging parse of source + annotations, demand/plan flavor: the
-   planner needs the pristine AST before any inlining touches it. *)
-let parse_program ~max_errors source annot_source =
-  let p, ds = Frontend.Resolve.parse_robust ~max_errors source in
-  let annots, ads =
-    if String.trim annot_source = "" then ([], [])
-    else
-      match Annot_parser.parse_annotations annot_source with
-      | a -> (a, [])
-      | exception Annot_parser.Annot_parse_error m ->
-          ( [],
-            [
-              Diag.make Diag.Annot
-                ("annotation file rejected (" ^ m
-               ^ "); continuing without annotations");
-            ] )
-  in
-  (p, annots, ds @ ads)
-
-(* One work request body, computed (the cache-miss path).  Runs under
-   the caller's per-request profile; raises only through the barrier in
-   [handle_work]. *)
+(* One work request body, computed (the cache-miss path): the same
+   four-configuration entry the one-shot CLI runs; [plan] is the demand
+   configuration.  Runs under the caller's per-request profile; raises
+   only through the barrier in [handle_work]. *)
 let compute_body ~max_errors ~op ~mode ~growth_budget ~max_rounds ~source
     ~annot : Json.t =
-  let run_result () =
-    match mode with
-    | Pipeline.Demand ->
-        let program, annots, parse_diags =
-          parse_program ~max_errors source annot
-        in
-        let dg = Diag.collector ~max_errors () in
-        List.iter (Diag.emit dg) parse_diags;
-        let r, pl = Planner.run ~growth_budget ~max_rounds ~annots ~dg program in
-        (r, Some pl)
-    | _ ->
-        ( Pipeline.run_source_robust ~max_errors ~mode ~annot_source:annot
-            source,
-          None )
+  let mode =
+    match op with
+    | "plan" -> Pipeline.Demand
+    | "analyze" | "compile" -> mode
+    | op -> Diag.fatal Diag.Cli "unknown op %S" op
   in
+  let r, plan =
+    Planner.compile_source ~max_errors ~growth_budget ~max_rounds ~mode
+      ~annot_source:annot source
+  in
+  let diags = ("diags", render_diags r.Pipeline.res_diags) in
   match op with
   | "analyze" ->
-      let r, _ = run_result () in
       let verdicts =
         List.map
           (fun (rep : Parallelizer.Parallelize.loop_report) -> rep.rep_verdict)
@@ -516,10 +580,9 @@ let compute_body ~max_errors ~op ~mode ~growth_budget ~max_rounds ~source
           ( "serial",
             Json.Int (List.length verdicts - List.length parallel) );
           ("code_size", Json.Int r.Pipeline.res_code_size);
-          ("diags", render_diags r.Pipeline.res_diags);
+          diags;
         ]
   | "compile" ->
-      let r, _ = run_result () in
       Json.Obj
         [
           ("op", Json.Str "compile");
@@ -529,22 +592,85 @@ let compute_body ~max_errors ~op ~mode ~growth_budget ~max_rounds ~source
           );
           ("marked", Json.Int (List.length r.Pipeline.res_marked));
           ("code_size", Json.Int r.Pipeline.res_code_size);
-          ("diags", render_diags r.Pipeline.res_diags);
+          diags;
         ]
-  | "plan" ->
-      let program, annots, parse_diags =
-        parse_program ~max_errors source annot
-      in
-      let dg = Diag.collector ~max_errors () in
-      List.iter (Diag.emit dg) parse_diags;
-      let r, pl = Planner.run ~growth_budget ~max_rounds ~annots ~dg program in
+  | _ ->
       Json.Obj
         [
           ("op", Json.Str "plan");
-          ("plan", Planner.to_json pl);
-          ("diags", render_diags r.Pipeline.res_diags);
+          ("plan", Option.fold ~none:Json.Null ~some:Planner.to_json plan);
+          diags;
         ]
-  | op -> Diag.fatal Diag.Cli "unknown op %S" op
+
+(* Why a work request failed, as the one Diag its error envelope
+   carries. *)
+let diag_of_exn = function
+  | Fault.Injected (site, n) ->
+      Diag.make Diag.Exec
+        (Printf.sprintf "request hit injected fault at %s (arrival %d)" site n)
+  | Diag.Error_limit n ->
+      Diag.make Diag.Cli (Printf.sprintf "error limit (%d) reached" n)
+  | e -> Diag.of_exn ~backtrace:(Printexc.get_backtrace ()) Diag.Exec e
+
+(* One work request: validate, look the unit up, compute on a miss. *)
+let work t ~op (j : Json.t) : outcome =
+  Fault.point "server.request";
+  let mode_s = Json.to_str (Json.member "mode" j) in
+  let source = Json.to_str (Json.member "source" j) in
+  let annot = Json.to_str (Json.member "annot" j) in
+  let growth_budget =
+    match Json.member "growth_budget" j with
+    | Json.Null -> Planner.default_growth_budget
+    | v -> Json.to_float v
+  in
+  let max_rounds =
+    match Json.member "max_rounds" j with
+    | Json.Null -> Planner.default_max_rounds
+    | v -> Json.to_int v
+  in
+  if source = "" then Diag.fatal Diag.Cli "work request without source";
+  if growth_budget <= 0.0 then
+    Diag.fatal Diag.Cli "growth_budget must be positive";
+  if max_rounds < 1 then Diag.fatal Diag.Cli "max_rounds must be at least 1";
+  match mode_of_string mode_s with
+  | Error m -> Diag.fatal Diag.Cli "%s" m
+  | Ok mode -> (
+      let hash =
+        unit_hash ~op ~mode:(Pipeline.mode_name mode) ~growth_budget
+          ~max_rounds ~source ~annot
+      in
+      match Lru.find t.srv_units hash with
+      | Some body ->
+          Mutex.lock t.srv_m;
+          t.srv_prof.Prof.c.Prof.requests_served <-
+            t.srv_prof.Prof.c.Prof.requests_served + 1;
+          t.srv_prof.Prof.c.Prof.unit_cache_hits <-
+            t.srv_prof.Prof.c.Prof.unit_cache_hits + 1;
+          Mutex.unlock t.srv_m;
+          Served { cached = true; hash; body }
+      | None ->
+          (* warm this domain's memo store from the hub before the
+             compute, publish what the compute learned after: domain
+             A's cold miss becomes domain B's warm hit.  Both are
+             no-ops for the stdio/sequential daemon beyond one
+             mutex round-trip. *)
+          let (_ : int * int) = Dependence.Memo.sync () in
+          let prof = Prof.create () in
+          let body =
+            Prof.with_profiling prof (fun () ->
+                reset_gensyms ();
+                compute_body ~max_errors:t.srv_max_errors ~op ~mode
+                  ~growth_budget ~max_rounds ~source ~annot)
+          in
+          let body = Json.to_string body in
+          let (_ : int * int) = Dependence.Memo.sync () in
+          Lru.add t.srv_units hash body;
+          Mutex.lock t.srv_m;
+          Prof.absorb t.srv_prof (Prof.snapshot prof);
+          t.srv_prof.Prof.c.Prof.requests_served <-
+            t.srv_prof.Prof.c.Prof.requests_served + 1;
+          Mutex.unlock t.srv_m;
+          Served { cached = false; hash; body })
 
 (* The per-request fault barrier around one work request.  Everything —
    a tripped [server.request] chaos fault, a fatal diagnostic, the
@@ -552,132 +678,13 @@ let compute_body ~max_errors ~op ~mode ~growth_budget ~max_rounds ~source
    response for this request; the daemon and its caches are untouched
    (failed results are never cached). *)
 let handle_work t (j : Json.t) : string =
-  let id = Json.to_int (Json.member "id" j) in
-  let rid = next_rid t in
-  let op_s =
-    match Json.member "op" j with Json.Null -> "analyze" | v -> Json.to_str v
-  in
-  let t0 = Prof.monotonic_ns () in
-  let faults0 = Fault.armed_fired_count () in
-  (* event-driven in-flight accounting: refresh-at-scrape was racy once
-     workers run in parallel — inc here, dec after the barrier, so a
-     scrape from another connection observes the true concurrent count *)
+  let op = op_of j in
+  reply t ~timed:true ~level:L_info ~op ~id:(Json.to_int (Json.member "id" j))
+  @@ fun _ ->
   Atomic.incr t.srv_inflight;
-  Metrics.add_gauge g_inflight 1.0;
-  (* (response, ok, unit hash) plus the cache-outcome label for the
-     per-op latency histogram: "hit" | "miss" | "error". *)
-  let (response, ok, hash), cache =
-    match
-      Fault.point "server.request";
-      let mode_s = Json.to_str (Json.member "mode" j) in
-      let source = Json.to_str (Json.member "source" j) in
-      let annot = Json.to_str (Json.member "annot" j) in
-      let growth_budget =
-        match Json.member "growth_budget" j with
-        | Json.Null -> Planner.default_growth_budget
-        | v -> Json.to_float v
-      in
-      let max_rounds =
-        match Json.member "max_rounds" j with
-        | Json.Null -> Planner.default_max_rounds
-        | v -> Json.to_int v
-      in
-      if source = "" then Diag.fatal Diag.Cli "work request without source";
-      if growth_budget <= 0.0 then
-        Diag.fatal Diag.Cli "growth_budget must be positive";
-      if max_rounds < 1 then
-        Diag.fatal Diag.Cli "max_rounds must be at least 1";
-      match mode_of_string mode_s with
-      | Error m -> Diag.fatal Diag.Cli "%s" m
-      | Ok mode -> (
-          let hash =
-            unit_hash ~op:op_s ~mode:(Pipeline.mode_name mode) ~growth_budget
-              ~max_rounds ~source ~annot
-          in
-          match Lru.find t.srv_units hash with
-          | Some body ->
-              Mutex.lock t.srv_m;
-              t.srv_prof.Prof.c.Prof.requests_served <-
-                t.srv_prof.Prof.c.Prof.requests_served + 1;
-              t.srv_prof.Prof.c.Prof.unit_cache_hits <-
-                t.srv_prof.Prof.c.Prof.unit_cache_hits + 1;
-              Mutex.unlock t.srv_m;
-              ((ok_envelope ~rid ~id ~cached:true ~hash body, true, Some hash),
-               "hit")
-          | None ->
-              (* warm this domain's memo store from the hub before the
-                 compute, publish what the compute learned after: domain
-                 A's cold miss becomes domain B's warm hit.  Both are
-                 no-ops for the stdio/sequential daemon beyond one
-                 mutex round-trip. *)
-              let (_ : int * int) = Dependence.Memo.sync () in
-              let prof = Prof.create () in
-              let body =
-                Prof.with_profiling prof (fun () ->
-                    reset_gensyms ();
-                    compute_body ~max_errors:t.srv_max_errors ~op:op_s ~mode
-                      ~growth_budget ~max_rounds ~source ~annot)
-              in
-              let body = Json.to_string body in
-              let (_ : int * int) = Dependence.Memo.sync () in
-              Lru.add t.srv_units hash body;
-              Mutex.lock t.srv_m;
-              Prof.absorb t.srv_prof (Prof.snapshot prof);
-              t.srv_prof.Prof.c.Prof.requests_served <-
-                t.srv_prof.Prof.c.Prof.requests_served + 1;
-              Mutex.unlock t.srv_m;
-              ((ok_envelope ~rid ~id ~cached:false ~hash body, true, Some hash),
-               "miss"))
-    with
-    | result -> result
-    | exception Fault.Injected (site, n) ->
-        ( ( error_response ~rid ~id
-              [
-                Diag.make Diag.Exec
-                  (Printf.sprintf
-                     "request hit injected fault at %s (arrival %d)" site n);
-              ],
-            false,
-            None ),
-          "error" )
-    | exception Diag.Error_limit n ->
-        ( ( error_response ~rid ~id
-              [
-                Diag.make Diag.Cli (Printf.sprintf "error limit (%d) reached" n);
-              ],
-            false,
-            None ),
-          "error" )
-    | exception e ->
-        ( ( error_response ~rid ~id
-              [ Diag.of_exn ~backtrace:(Printexc.get_backtrace ()) Diag.Exec e ],
-            false,
-            None ),
-          "error" )
-  in
+  let o = try work t ~op j with e -> Failed [ diag_of_exn e ] in
   Atomic.decr t.srv_inflight;
-  Metrics.add_gauge g_inflight (-1.0);
-  let dur_ns = Int64.to_int (Int64.sub (Prof.monotonic_ns ()) t0) in
-  if Metrics.on () then begin
-    Metrics.observe_ns (m_request_hist ~op:op_s ~cache) dur_ns;
-    Metrics.incr (m_requests ~op:op_s ~status:(if ok then "ok" else "error"))
-  end;
-  let fault_sites = Fault.armed_fired_since faults0 in
-  log_line t
-    ~level:(if ok && fault_sites = [] then L_info else L_warn)
-    ([
-       ("request_id", Json.Str rid);
-       ("op", Json.Str op_s);
-       ("id", Json.Int id);
-     ]
-    @ (match hash with None -> [] | Some h -> [ ("hash", Json.Str h) ])
-    @ [
-        ("cache", Json.Str cache);
-        ("ok", Json.Bool ok);
-        ("latency_ms", Json.Float (float_of_int dur_ns /. 1e6));
-        ("faults", Json.List (List.map (fun s -> Json.Str s) fault_sites));
-      ]);
-  response
+  o
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -689,7 +696,7 @@ let handle_work t (j : Json.t) : string =
    only matters for a chunk that escaped it.  Connection workers may
    shard batches on the pool at the same time: each job keeps its own
    state. *)
-let handle_batch t ~rid ~id (reqs : Json.t list) : string =
+let handle_batch t ~rid (reqs : Json.t list) : string list =
   let reqs = Array.of_list reqs in
   let out = Array.make (Array.length reqs) "" in
   let events = ref [] in
@@ -701,26 +708,23 @@ let handle_batch t ~rid ~id (reqs : Json.t list) : string =
     (fun (ev : Runtime.Pool.event) ->
       match ev with
       | Runtime.Pool.Chunk_failed { chunk; error; backtrace } ->
+          let j = reqs.(chunk) in
           out.(chunk) <-
-            error_response ~rid
-              ~id:(Json.to_int (Json.member "id" reqs.(chunk)))
-              [ Diag.of_exn ~backtrace Diag.Exec error ]
+            reply t ~rid ~level:L_warn ~op:(op_of j)
+              ~id:(Json.to_int (Json.member "id" j))
+              (fun _ -> Failed [ Diag.of_exn ~backtrace Diag.Exec error ])
       | _ -> ())
     !events;
-  Printf.sprintf
-    "{\"id\":%d,\"ok\":true,\"request_id\":\"%s\",\"responses\":[%s]}" id rid
-    (String.concat "," (Array.to_list out))
+  Array.to_list out
 
 let uptime_s t =
   Int64.to_float (Int64.sub (Prof.monotonic_ns ()) t.srv_t0_ns) /. 1e9
 
-(* Refresh the sampled gauges just before a scrape.  The in-flight
-   gauge is NOT here: it is event-driven (inc/dec around each request),
-   because a refresh-at-scrape value is stale the instant a concurrent
-   worker starts or finishes a request. *)
+(* Refresh the sampled gauges just before a scrape. *)
 let refresh_gauges t =
   let cs = cache_stats t in
   Metrics.set_gauge g_uptime (uptime_s t);
+  Metrics.set_gauge g_inflight (float_of_int (Atomic.get t.srv_inflight));
   Metrics.set_gauge g_units_cached (float_of_int cs.Lru.units);
   Metrics.set_gauge g_cache_bytes (float_of_int cs.Lru.bytes)
 
@@ -732,137 +736,80 @@ let histograms_json (snap : Metrics.snapshot) : Json.t =
       match List.assoc_opt "histograms" kvs with Some h -> h | None -> Json.Obj [])
   | _ -> Json.Obj []
 
-let log_control t ~level ~rid ~op ~id ~ok =
-  if Metrics.on () then
-    Metrics.incr (m_requests ~op ~status:(if ok then "ok" else "error"));
-  log_line t ~level
-    [
-      ("request_id", Json.Str rid);
-      ("op", Json.Str op);
-      ("id", Json.Int id);
-      ("ok", Json.Bool ok);
-    ]
-
 (** Handle one protocol message (a parsed JSON line) and return the
     response line. *)
 let handle_request t (j : Json.t) : string =
-  let id = Json.to_int (Json.member "id" j) in
-  let op =
-    match Json.member "op" j with Json.Null -> "analyze" | v -> Json.to_str v
-  in
+  let op = op_of j in
+  let control level f = reply t ~level ~op ~id:(Json.to_int (Json.member "id" j)) f in
   match op with
   | "ping" ->
-      let rid = next_rid t in
-      log_control t ~level:L_debug ~rid ~op ~id ~ok:true;
-      Json.to_string
-        (Json.Obj
-           [
-             ("id", Json.Int id);
-             ("ok", Json.Bool true);
-             ("op", Json.Str "ping");
-             ("request_id", Json.Str rid);
-             ("protocol", Json.Int protocol_version);
-           ])
+      control L_debug (fun _ ->
+          Done (fun () -> [ ("protocol", Json.Int protocol_version) ]))
   | "stats" ->
-      let rid = next_rid t in
-      log_control t ~level:L_debug ~rid ~op ~id ~ok:true;
-      refresh_gauges t;
-      Json.to_string
-        (Json.Obj
-           [
-             ("id", Json.Int id);
-             ("ok", Json.Bool true);
-             ("op", Json.Str "stats");
-             ("request_id", Json.Str rid);
-             ("protocol", Json.Int protocol_version);
-             ("jobs", Json.Int t.srv_jobs);
-             ("conn_jobs", Json.Int t.srv_conn_jobs);
-             ("backlog", Json.Int t.srv_backlog);
-             ("max_inflight", Json.Int t.srv_max_inflight);
-             ("units_cached", Json.Int (units_cached t));
-             ("uptime_s", Json.Float (uptime_s t));
-             ("requests_in_flight", Json.Int (Atomic.get t.srv_inflight));
-             ( "cache",
-               let cs = cache_stats t in
-               Json.Obj
-                 [
-                   ("units", Json.Int cs.Lru.units);
-                   ("bytes", Json.Int cs.Lru.bytes);
-                   ("evictions", Json.Int cs.Lru.evictions);
-                   ("max_units", Json.Int cs.Lru.max_units);
-                   ("max_bytes", Json.Int cs.Lru.max_bytes);
-                 ] );
-             ( "connections",
-               let ws = conn_stats t in
-               Json.Obj
-                 [
-                   ("accepted", Json.Int ws.Runtime.Pool.accepted);
-                   ("shed", Json.Int ws.Runtime.Pool.shed);
-                   ("handler_errors", Json.Int ws.Runtime.Pool.handler_errors);
-                   ("worker_deaths", Json.Int ws.Runtime.Pool.deaths);
-                   ("worker_respawns", Json.Int ws.Runtime.Pool.respawns);
-                   ("inflight", Json.Int ws.Runtime.Pool.inflight);
-                   ("workers", Json.Int ws.Runtime.Pool.workers);
-                 ] );
-             ("counters", counters_json (counters t));
-             ("histograms", histograms_json (Metrics.snapshot t.srv_metrics));
-           ])
+      control L_debug @@ fun _ ->
+      Done
+        (fun () ->
+          refresh_gauges t;
+          [
+            ("protocol", Json.Int protocol_version);
+            ("jobs", Json.Int t.srv_jobs);
+            ("conn_jobs", Json.Int t.srv_conn_jobs);
+            ("backlog", Json.Int t.srv_backlog);
+            ("max_inflight", Json.Int t.srv_max_inflight);
+            ("units_cached", Json.Int (units_cached t));
+            ("uptime_s", Json.Float (uptime_s t));
+            ("requests_in_flight", Json.Int (Atomic.get t.srv_inflight));
+            ( "cache",
+              let cs = cache_stats t in
+              Json.Obj
+                [
+                  ("units", Json.Int cs.Lru.units);
+                  ("bytes", Json.Int cs.Lru.bytes);
+                  ("evictions", Json.Int cs.Lru.evictions);
+                  ("max_units", Json.Int cs.Lru.max_units);
+                  ("max_bytes", Json.Int cs.Lru.max_bytes);
+                ] );
+            ( "connections",
+              let ws = conn_stats t in
+              Json.Obj
+                [
+                  ("accepted", Json.Int ws.Runtime.Pool.accepted);
+                  ("shed", Json.Int ws.Runtime.Pool.shed);
+                  ("handler_errors", Json.Int ws.Runtime.Pool.handler_errors);
+                  ("worker_deaths", Json.Int ws.Runtime.Pool.deaths);
+                  ("worker_respawns", Json.Int ws.Runtime.Pool.respawns);
+                  ("inflight", Json.Int ws.Runtime.Pool.inflight);
+                  ("workers", Json.Int ws.Runtime.Pool.workers);
+                ] );
+            ("counters", counters_json (counters t));
+            ("histograms", histograms_json (Metrics.snapshot t.srv_metrics));
+          ])
   | "metrics" ->
-      let rid = next_rid t in
-      log_control t ~level:L_debug ~rid ~op ~id ~ok:true;
-      refresh_gauges t;
-      let snap = Metrics.snapshot t.srv_metrics in
-      Json.to_string
-        (Json.Obj
-           [
-             ("id", Json.Int id);
-             ("ok", Json.Bool true);
-             ("op", Json.Str "metrics");
-             ("request_id", Json.Str rid);
-             ("exposition", Json.Str (Metrics.to_prometheus snap));
-             ("metrics", Metrics.to_json snap);
-           ])
+      control L_debug @@ fun _ ->
+      Done
+        (fun () ->
+          refresh_gauges t;
+          let snap = Metrics.snapshot t.srv_metrics in
+          [
+            ("exposition", Json.Str (Metrics.to_prometheus snap));
+            ("metrics", Metrics.to_json snap);
+          ])
   | "snapshot" -> (
-      let rid = next_rid t in
+      control L_info @@ fun _ ->
       match save_snapshot t with
-      | Ok path ->
-          log_control t ~level:L_info ~rid ~op ~id ~ok:true;
-          Json.to_string
-            (Json.Obj
-               [
-                 ("id", Json.Int id);
-                 ("ok", Json.Bool true);
-                 ("op", Json.Str "snapshot");
-                 ("request_id", Json.Str rid);
-                 ("path", Json.Str path);
-               ])
-      | Error d ->
-          log_control t ~level:L_warn ~rid ~op ~id ~ok:false;
-          error_response ~rid ~id [ d ])
+      | Ok path -> Done (fun () -> [ ("path", Json.Str path) ])
+      | Error d -> Failed [ d ])
   | "shutdown" ->
-      let rid = next_rid t in
-      t.srv_stop <- true;
-      log_control t ~level:L_info ~rid ~op ~id ~ok:true;
-      Json.to_string
-        (Json.Obj
-           [
-             ("id", Json.Int id);
-             ("ok", Json.Bool true);
-             ("op", Json.Str "shutdown");
-             ("request_id", Json.Str rid);
-           ])
+      control L_info (fun _ ->
+          t.srv_stop <- true;
+          Done (fun () -> []))
   | "batch" ->
-      let rid = next_rid t in
-      let reqs = Json.to_list (Json.member "requests" j) in
-      let response = handle_batch t ~rid ~id reqs in
-      log_control t ~level:L_info ~rid ~op ~id ~ok:true;
-      response
+      control L_info (fun rid ->
+          Batch (handle_batch t ~rid (Json.to_list (Json.member "requests" j))))
   | "analyze" | "compile" | "plan" -> handle_work t j
   | op ->
-      let rid = next_rid t in
-      log_control t ~level:L_warn ~rid ~op ~id ~ok:false;
-      error_response ~rid ~id
-        [ Diag.make Diag.Cli (Printf.sprintf "unknown op %S" op) ]
+      control L_warn (fun _ ->
+          Failed [ Diag.make Diag.Cli (Printf.sprintf "unknown op %S" op) ])
 
 (** Handle one raw protocol line.  Unparseable JSON degrades to an
     error response (id 0 — the id was unreadable), per the
@@ -870,10 +817,8 @@ let handle_request t (j : Json.t) : string =
 let handle_line t (line : string) : string =
   match Json.parse line with
   | Error m ->
-      let rid = next_rid t in
-      log_control t ~level:L_warn ~rid ~op:"parse" ~id:0 ~ok:false;
-      error_response ~rid ~id:0
-        [ Diag.make Diag.Cli (Printf.sprintf "bad request JSON: %s" m) ]
+      reply t ~level:L_warn ~op:"parse" ~id:0 (fun _ ->
+          Failed [ Diag.make Diag.Cli (Printf.sprintf "bad request JSON: %s" m) ])
   | Ok j -> handle_request t j
 
 (* ------------------------------------------------------------------ *)
@@ -896,15 +841,15 @@ let serve_channels t (ic : in_channel) (oc : out_channel) : unit =
             match Fault.point "server.accept" with
             | () -> handle_line t line
             | exception Fault.Injected (site, n) ->
-                let rid = next_rid t in
-                log_control t ~level:L_error ~rid ~op:"accept" ~id:0 ~ok:false;
-                error_response ~rid ~id:0
-                  [
-                    Diag.make Diag.Exec
-                      (Printf.sprintf
-                         "request dropped by injected fault at %s (arrival %d)"
-                         site n);
-                  ]
+                reply t ~level:L_error ~op:"accept" ~id:0 (fun _ ->
+                    Failed
+                      [
+                        Diag.make Diag.Exec
+                          (Printf.sprintf
+                             "request dropped by injected fault at %s \
+                              (arrival %d)"
+                             site n);
+                      ])
           in
           output_string oc response;
           output_char oc '\n';
@@ -912,25 +857,6 @@ let serve_channels t (ic : in_channel) (oc : out_channel) : unit =
           loop ()
   in
   loop ()
-
-(* The structured overload envelope an admission-shed connection gets
-   before being closed: machine-readable ([overloaded]:true) so a
-   client can back off and retry, never a silent close. *)
-let overload_response t ~rid : string =
-  let msg =
-    Printf.sprintf "server overloaded: %d connections in flight (max %d)"
-      (conn_stats t).Runtime.Pool.inflight t.srv_max_inflight
-  in
-  Json.to_string
-    (Json.Obj
-       [
-         ("id", Json.Int 0);
-         ("ok", Json.Bool false);
-         ("overloaded", Json.Bool true);
-         ("request_id", Json.Str rid);
-         ("error", Json.Str msg);
-         ("diags", Json.List [ Json.Str (Diag.render (Diag.make Diag.Exec msg)) ]);
-       ])
 
 (** Serve one accepted connection to completion — the connection-pool
     handler.  Every exit path closes [fd].  The [server.conn] chaos
@@ -985,20 +911,26 @@ let handle_conn t (fd : Unix.file_descr) : unit =
                   (Printf.sprintf "conn %s: connection dropped: %s" cid
                      (Printexc.to_string e)))))
 
-(* Admission refusal: answer with the overload envelope, then close.
-   Best-effort — a client that already went away loses nothing. *)
+(* Admission refusal: answer with the structured overload envelope —
+   machine-readable ([overloaded]:true) so a client can back off and
+   retry, never a silent close — then close.  Best-effort: a client
+   that already went away loses nothing. *)
 let shed_conn t (fd : Unix.file_descr) : unit =
-  let rid = next_rid t in
+  let envelope =
+    reply t ~level:L_warn ~op:"connection" ~id:0 (fun _ ->
+        Overloaded
+          (Printf.sprintf
+             "server overloaded: %d connections in flight (max %d)"
+             (conn_stats t).Runtime.Pool.inflight t.srv_max_inflight))
+  in
   (try
      let oc = Unix.out_channel_of_descr fd in
-     output_string oc (overload_response t ~rid);
+     output_string oc envelope;
      output_char oc '\n';
      flush oc
    with _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  Metrics.incr (m_connections ~outcome:"shed");
-  log_line t ~level:L_warn
-    [ ("request_id", Json.Str rid); ("event", Json.Str "conn_shed") ]
+  Metrics.incr (m_connections ~outcome:"shed")
 
 (** Accept loop on a Unix-domain socket at [path] (an existing file
     there is replaced).  Accepted connections are submitted to a
@@ -1053,16 +985,18 @@ let serve_socket t ~(path : string) : unit =
                   | exception Fault.Injected (site, n) ->
                       (try Unix.close fd with Unix.Unix_error _ -> ());
                       Metrics.incr (m_connections ~outcome:"dropped");
-                      let rid = next_rid t in
-                      log_control t ~level:L_error ~rid ~op:"connection" ~id:0
-                        ~ok:false;
-                      prerr_endline
-                        (Diag.render
-                           (Diag.make ~severity:Diag.Warning Diag.Exec
-                              (Printf.sprintf
-                                 "req %s: connection dropped by injected \
-                                  fault at %s (arrival %d)"
-                                 rid site n)))));
+                      (* nothing is sent: the reply only logs and counts *)
+                      ignore
+                        (reply t ~level:L_error ~op:"connection" ~id:0
+                           (fun rid ->
+                             prerr_endline
+                               (Diag.render
+                                  (Diag.make ~severity:Diag.Warning Diag.Exec
+                                     (Printf.sprintf
+                                        "req %s: connection dropped by \
+                                         injected fault at %s (arrival %d)"
+                                        rid site n)));
+                             Failed []))));
               accept_loop ()
       in
       accept_loop ())

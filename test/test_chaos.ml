@@ -50,7 +50,7 @@ let call_src =
   \      END\n"
 
 let robust ?(mode = Core.Pipeline.Annotation_based) ?(annot = "") src =
-  Core.Pipeline.run_source_robust ~mode ~annot_source:annot src
+  fst (Planner.compile_source ~mode ~annot_source:annot src)
 
 (* ------------------------------------------------------------------ *)
 (* Registry semantics                                                   *)

@@ -227,7 +227,8 @@ let test_chrome_trace_balanced () =
   let sink = Span.create () in
   Span.with_tracing sink (fun () ->
       ignore
-        (Core.Pipeline.run_source ~mode:Core.Pipeline.Annotation_based
+        (Planner.compile_source ~strict:true
+           ~mode:Core.Pipeline.Annotation_based
            multi_src));
   match Json.parse (Span.to_chrome_json sink) with
   | Error e -> Alcotest.failf "trace JSON does not parse: %s" e
@@ -242,7 +243,8 @@ let test_chrome_trace_bounded () =
   let sink = Span.create ~max_events:4 () in
   Span.with_tracing sink (fun () ->
       ignore
-        (Core.Pipeline.run_source ~mode:Core.Pipeline.Annotation_based
+        (Planner.compile_source ~strict:true
+           ~mode:Core.Pipeline.Annotation_based
            multi_src));
   cb "spans dropped under tiny budget" true (Span.dropped sink > 0);
   match Json.parse (Span.to_chrome_json sink) with

@@ -147,8 +147,9 @@ let src =
 let oneshot () =
   Perfect.Driver.reset_gensyms ();
   let r =
-    Core.Pipeline.run_source_robust ~mode:Core.Pipeline.Annotation_based
-      ~annot_source:"" src
+    fst
+      (Planner.compile_source ~mode:Core.Pipeline.Annotation_based
+         ~annot_source:"" src)
   in
   Json.to_string
     (Json.List
@@ -287,6 +288,58 @@ let test_faults_visible_in_registry () =
        "# TYPE parinline_faults_injected_total counter\n\
         parinline_faults_injected_total 2")
 
+(* ---------------- bounded op labels ---------------- *)
+
+(* Client-chosen op strings never mint metric series: outside the closed
+   label set (the nine ops plus parse/accept/connection) every op counts
+   as "unknown" and is never timed.  The baseline is taken once the ops
+   this test itself sends (batch, metrics) and the pool series a batch
+   feeds exist; after that the exposition keeps its sample count.
+   Bucket lines are left out of the count: which latency buckets are
+   occupied depends on timing, not on labels. *)
+let test_bounded_op_labels () =
+  let t, _ = Serve.create () in
+  Fun.protect ~finally:(fun () -> ignore (Serve.drain t)) @@ fun () ->
+  let send j =
+    match Json.parse (Serve.handle_line t (Json.to_string j)) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "unparseable response: %s" e
+  in
+  let bogus i =
+    Json.Obj [ ("op", Json.Str (Printf.sprintf "bogus-%d" i)); ("id", Json.Int i) ]
+  in
+  let batch reqs = Json.Obj [ ("op", Json.Str "batch"); ("requests", Json.List reqs) ] in
+  let error_envelope r =
+    (not (Json.to_bool (Json.member "ok" r)))
+    && (match Json.member "request_id" r with
+       | Json.Str s -> String.length s > 1 && s.[0] = 'r'
+       | _ -> false)
+    && Json.member "error" r <> Json.Null
+  in
+  let samples () =
+    Json.to_str (Json.member "exposition" (send (Serve.request ~op:"metrics" ())))
+    |> String.split_on_char '\n'
+    |> List.filter (fun l ->
+           l <> "" && l.[0] <> '#' && not (contains_sub l "_bucket{"))
+    |> List.length
+  in
+  cb "first unknown op answers an error envelope" true
+    (error_envelope (send (bogus 0)));
+  ignore (send (batch [ bogus 1 ]));
+  let base = samples () in
+  let answered = ref 0 in
+  for i = 2 to 1001 do
+    if error_envelope (send (bogus i)) then incr answered
+  done;
+  ci "1000 top-level unknown ops: 1000 error envelopes" 1000 !answered;
+  ci "top-level unknown ops mint no series" base (samples ());
+  let r = send (batch (List.init 1000 (fun i -> bogus (1002 + i)))) in
+  cb "batch answered" true (Json.to_bool (Json.member "ok" r));
+  ci "1000 batched unknown ops: 1000 error envelopes" 1000
+    (List.length
+       (List.filter error_envelope (Json.to_list (Json.member "responses" r))));
+  ci "batched unknown ops mint no series" base (samples ())
+
 let suite =
   [
     Alcotest.test_case "merge: associative, commutative, identity" `Quick
@@ -303,4 +356,6 @@ let suite =
       `Quick test_log_fault_degrades;
     Alcotest.test_case "faults: injections visible as counters" `Quick
       test_faults_visible_in_registry;
+    Alcotest.test_case "serve: unknown ops mint no series" `Quick
+      test_bounded_op_labels;
   ]

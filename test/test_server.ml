@@ -112,13 +112,7 @@ let test_protocol_basics () =
    four configurations. *)
 let oneshot_verdicts ~mode source =
   Perfect.Driver.reset_gensyms ();
-  let r =
-    match mode with
-    | Core.Pipeline.Demand ->
-        fst (Planner.run ~dg:(Core.Diag.collector ()) (
-               Frontend.Resolve.parse_robust ~max_errors:20 source |> fst))
-    | _ -> Core.Pipeline.run_source_robust ~mode ~annot_source:"" source
-  in
+  let r, _ = Planner.compile_source ~mode ~annot_source:"" source in
   Json.to_string
     (Json.List
        (List.map
@@ -268,7 +262,7 @@ let test_memo_export_import () =
   Dependence.Memo.reset ();
   Perfect.Driver.reset_gensyms ();
   ignore
-    (Core.Pipeline.run_source_robust ~mode:Core.Pipeline.Annotation_based
+    (Planner.compile_source ~mode:Core.Pipeline.Annotation_based
        ~annot_source:"" src);
   let _, _, pairs = Dependence.Memo.sizes () in
   cb "memo has pairs to export" true (pairs > 0);
@@ -598,8 +592,8 @@ let test_memo_hub_sync () =
       (Domain.spawn (fun () ->
            Perfect.Driver.reset_gensyms ();
            ignore
-             (Core.Pipeline.run_source_robust
-                ~mode:Core.Pipeline.Annotation_based ~annot_source:"" src);
+             (Planner.compile_source ~mode:Core.Pipeline.Annotation_based
+                ~annot_source:"" src);
            let _, _, pairs = Dependence.Memo.sizes () in
            let (_ : int * int) = Dependence.Memo.sync () in
            pairs))
@@ -700,6 +694,74 @@ let test_serve_socket_concurrent_clients () =
   ci "all five work requests served" 5
     (Serve.counters t).Core.Prof.requests_served
 
+(* ---------------- one error budget in every mode ---------------- *)
+
+(* MAIN holds one parallel loop; BAD carries three malformed statements,
+   enough to exhaust a max_errors 3 parse budget.  Parse errors and
+   analysis errors are budgeted separately in every configuration, so
+   demand and the plan op salvage MAIN exactly like the three pipeline
+   modes do.  (The same program is examples/cli/parse_errors.f.) *)
+let budget_src =
+  "      PROGRAM MAIN\n\
+  \      DIMENSION A(100)\n\
+  \      DO I = 1, 100\n\
+  \        A(I) = 2.0 * I\n\
+  \      ENDDO\n\
+  \      WRITE(6,*) A(10)\n\
+  \      END\n\
+  \      SUBROUTINE BAD(X)\n\
+  \      X = ((1 *\n\
+  \      X = ((2 *\n\
+  \      X = ((3 *\n\
+  \      END\n"
+
+let test_one_error_budget () =
+  let t, _ = Serve.create ~max_errors:3 () in
+  Fun.protect ~finally:(fun () -> ignore (Serve.drain t)) @@ fun () ->
+  let leading_parse_errors r =
+    let ds = Json.to_list (Json.member "diags" (result r)) in
+    let is_parse d =
+      let d = Json.to_str d and p = "error[parse] " in
+      String.length d >= String.length p
+      && String.sub d 0 (String.length p) = p
+    in
+    List.length ds >= 3
+    && List.for_all is_parse (List.filteri (fun i _ -> i < 3) ds)
+  in
+  let main_verdict r =
+    match
+      List.filter
+        (fun v ->
+          Json.to_str (Json.member "unit" (Json.member "loop_id" v)) = "MAIN")
+        (Json.to_list (Json.member "verdicts" (result r)))
+    with
+    | [ v ] -> v
+    | vs -> Alcotest.failf "want one MAIN verdict, got %d" (List.length vs)
+  in
+  let replies =
+    List.map
+      (fun mode ->
+        ( mode,
+          send t (Serve.request ~op:"analyze" ~mode ~source:budget_src ()) ))
+      [ "none"; "conventional"; "annotation"; "demand" ]
+  in
+  let plan = send t (Serve.request ~op:"plan" ~source:budget_src ()) in
+  List.iter
+    (fun (name, r) ->
+      cb (name ^ " answers ok") true (ok r);
+      cb (name ^ ": the three parse errors lead diags") true
+        (leading_parse_errors r))
+    (replies @ [ ("plan", plan) ]);
+  let verdicts = List.map (fun (_, r) -> main_verdict r) replies in
+  cs "MAIN's loop is parallel" "parallel"
+    (Json.to_str (Json.member "outcome" (List.hd verdicts)));
+  List.iter
+    (fun v ->
+      cs "MAIN's verdict agrees across the four modes"
+        (Json.to_string (List.hd verdicts))
+        (Json.to_string v))
+    verdicts
+
 let suite =
   [
     Alcotest.test_case "protocol basics and poisoned requests" `Quick
@@ -749,4 +811,6 @@ let suite =
       test_submit_after_shutdown_never_respawns;
     Alcotest.test_case "shutdown discards each queued item exactly once"
       `Quick test_shutdown_discards_queued_items;
+    Alcotest.test_case "one error budget in every mode" `Quick
+      test_one_error_budget;
   ]
