@@ -110,7 +110,7 @@ let table2 ?(jobs = 1) ?json_out ?(validate = false) ?(explain_diff = false)
     "%-8s | %6s %7s | %5s %5s %6s %7s | %5s %5s %6s %7s | %5s %5s %6s %7s\n"
     "bench" "par" "size" "par" "loss" "extra" "size" "par" "loss" "extra"
     "size" "par" "loss" "extra" "size";
-  let span = Option.map (fun _ -> Core.Span.create ()) trace_out in
+  let span = Option.map (fun _ -> Frontend.Span.create ()) trace_out in
   let run () =
     Perfect.Driver.run_suite ~jobs ?growth_budget ~validate ?span ~time_exec
       ?deadline_s ~retries ()
@@ -119,13 +119,13 @@ let table2 ?(jobs = 1) ?json_out ?(validate = false) ?(explain_diff = false)
     match chaos with
     | None -> run ()
     | Some spec -> (
-        match Core.Fault.parse_spec spec with
+        match Frontend.Fault.parse_spec spec with
         | Error m ->
             Printf.eprintf "bench: bad --chaos spec: %s\n" m;
             exit 2
         | Ok pl ->
-            let pts = Core.Fault.with_plan pl run in
-            Printf.eprintf "bench: %s\n" (Core.Fault.summary pl);
+            let pts = Frontend.Fault.with_plan pl run in
+            Printf.eprintf "bench: %s\n" (Frontend.Fault.summary pl);
             pts)
   in
   let tot = Array.make 14 0 in
@@ -217,7 +217,7 @@ let table2 ?(jobs = 1) ?json_out ?(validate = false) ?(explain_diff = false)
                 Perfect.Driver.pt_wall_ms = 0.0;
                 pt_exec_ms = None;
                 pt_pass_ms = [];
-                pt_counters = Core.Prof.snapshot (Core.Prof.create ());
+                pt_counters = Frontend.Prof.snapshot (Frontend.Prof.create ());
               })
             points
       in
@@ -227,9 +227,9 @@ let table2 ?(jobs = 1) ?json_out ?(validate = false) ?(explain_diff = false)
         (List.length points) path);
   (match (trace_out, span) with
   | Some path, Some s ->
-      Perfect.Driver.write_file_atomic path (Core.Span.to_chrome_json s);
+      Perfect.Driver.write_file_atomic path (Frontend.Span.to_chrome_json s);
       Printf.eprintf "bench: wrote %d trace events to %s\n"
-        (List.length (Core.Span.events s)) path
+        (List.length (Frontend.Span.events s)) path
   | _ -> ());
   degrade (Perfect.Driver.exit_status points);
   say
@@ -252,16 +252,17 @@ let fig20 () =
       "[host has %d core(s): speedups are profile-based Amdahl projections\n\
       \ per DESIGN.md; outputs of real multi-domain runs are still checked]\n"
       (Domain.recommended_domain_count ());
+  let points = Perfect.Driver.run_suite () in
   List.iter
     (fun threads ->
       say "\n-- %d-way machine model --\n" threads;
-      say "%-8s %9s | %10s %13s %11s\n" "bench" "seq(s)" "no-inline"
-        "conventional" "annotation";
+      say "%-8s %9s | %10s %13s %11s %9s\n" "bench" "seq(s)" "no-inline"
+        "conventional" "annotation" "demand";
       List.iter
         (fun (b : Perfect.Bench_def.t) ->
-          let f = Perfect.Experiment.fig20_row ~threads b in
-          say "%-8s %9.3f | %9.2fx %12.2fx %10.2fx\n" b.name f.f_seq
-            f.f_no_inline f.f_conventional f.f_annotation)
+          let f = Perfect.Experiment.fig20_row ~threads b points in
+          say "%-8s %9.3f | %9.2fx %12.2fx %10.2fx %8.2fx\n" b.name f.f_seq
+            f.f_no_inline f.f_conventional f.f_annotation f.f_demand)
         Perfect.Suite.all)
     [ 4; 8 ];
   say "\n"
@@ -282,15 +283,23 @@ let ablate () =
   let cfg_trust =
     { Parallelizer.Parallelize.default_config with trust_nonlinear = true }
   in
+  let conv_loss points =
+    List.filter_map
+      (fun (p : Perfect.Driver.point) ->
+        if p.pt_config = Core.Pipeline.Conventional then
+          Some (p.pt_bench, p.pt_loss)
+        else None)
+      points
+  in
+  let sound = conv_loss (Perfect.Driver.run_suite ()) in
+  let lossy (b : Perfect.Bench_def.t) = List.assoc b.name sound > 0 in
   List.iter
-    (fun (b : Perfect.Bench_def.t) ->
-      let sound = Perfect.Experiment.table2_row b in
-      if sound.t2_conventional.m_loss > 0 then begin
-        let unsound = Perfect.Experiment.table2_row ~par_config:cfg_trust b in
-        say "    %-8s conv par-loss: sound=%d assume-independent=%d\n" b.name
-          sound.t2_conventional.m_loss unsound.t2_conventional.m_loss
-      end)
-    Perfect.Suite.all;
+    (fun (name, loss) ->
+      say "    %-8s conv par-loss: sound=%d assume-independent=%d\n" name
+        (List.assoc name sound) loss)
+    (conv_loss
+       (Perfect.Driver.run_suite ~par_config:cfg_trust
+          ~benches:(List.filter lossy Perfect.Suite.all) ()));
   say
     "\n[2] unique() lowering radix: the injective linear combination only\n\
     \    separates iterations when the radix exceeds the operand ranges.\n";
@@ -338,12 +347,14 @@ let ablate () =
   List.iter
     (fun min_trip ->
       let cfg = { Parallelizer.Parallelize.default_config with min_trip } in
-      let row =
-        Perfect.Experiment.table2_row ~par_config:cfg Perfect.Mdg.bench
-      in
-      say "    min_trip=%-3d MDG par: none=%d conv=%d annot=%d\n" min_trip
-        row.t2_no_inline.m_par row.t2_conventional.m_par
-        row.t2_annotation.m_par)
+      match
+        Perfect.Driver.run_suite ~par_config:cfg ~benches:[ Perfect.Mdg.bench ]
+          ()
+      with
+      | [ n; c; a; d ] ->
+          say "    min_trip=%-3d MDG par: none=%d conv=%d annot=%d demand=%d\n"
+            min_trip n.pt_par c.pt_par a.pt_par d.pt_par
+      | _ -> ())
     [ 1; 4; 32 ];
   say "\n"
 
@@ -476,18 +487,18 @@ let serve_bench ?(jobs = 1) ?(clients = 4) ?(reps = 3) ?(max_cache_units = 0)
      them buries the warm tail the SLO gate watches. *)
   let drive_cold () =
     let lats = ref [] in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Frontend.Prof.monotonic_ns () in
     List.iter
       (fun line ->
-        let r0 = Unix.gettimeofday () in
+        let r0 = Frontend.Prof.monotonic_ns () in
         let resp = Server.Serve.handle_line t line in
-        lats := ((Unix.gettimeofday () -. r0) *. 1000.0) :: !lats;
+        lats := (1000.0 *. Frontend.Prof.seconds_since r0) :: !lats;
         (match result_bytes resp with
         | Some body -> Hashtbl.replace expected line body
         | None -> ());
         check_line ~label:"cold pass" line resp)
       lines;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Frontend.Prof.seconds_since t0 in
     (float_of_int n_lines /. (if dt > 0.0 then dt else 1e-9), !lats)
   in
   (* the hot set: what a sequential cold pass leaves resident under an
@@ -501,16 +512,16 @@ let serve_bench ?(jobs = 1) ?(clients = 4) ?(reps = 3) ?(max_cache_units = 0)
   (* k concurrent clients, each a domain driving the hot set reps
      times; every response is verified against the cold-pass bytes *)
   let drive_warm k =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Frontend.Prof.monotonic_ns () in
     let body () =
       let lats = ref [] in
       let bad = ref 0 in
       for _ = 1 to reps do
         List.iter
           (fun line ->
-            let r0 = Unix.gettimeofday () in
+            let r0 = Frontend.Prof.monotonic_ns () in
             let resp = Server.Serve.handle_line t line in
-            lats := ((Unix.gettimeofday () -. r0) *. 1000.0) :: !lats;
+            lats := (1000.0 *. Frontend.Prof.seconds_since r0) :: !lats;
             match (Frontend.Json.parse resp, result_bytes resp) with
             | Ok j, Some got
               when Frontend.Json.to_bool (Frontend.Json.member "ok" j)
@@ -525,7 +536,7 @@ let serve_bench ?(jobs = 1) ?(clients = 4) ?(reps = 3) ?(max_cache_units = 0)
       if k = 1 then [ body () ]
       else List.map Domain.join (List.init k (fun _ -> Domain.spawn body))
     in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Frontend.Prof.seconds_since t0 in
     let lats = List.concat_map fst results in
     let bad = List.fold_left (fun a (_, b) -> a + b) 0 results in
     if bad > 0 then begin
@@ -581,14 +592,14 @@ let serve_bench ?(jobs = 1) ?(clients = 4) ?(reps = 3) ?(max_cache_units = 0)
   List.iter (fun d -> prerr_endline (Core.Diag.render d)) (Server.Serve.drain t);
   let pooled = cold_lats @ warm_lats in
   let hit_ratio =
-    if c.Core.Prof.requests_served = 0 then 0.0
+    if c.Frontend.Prof.requests_served = 0 then 0.0
     else
-      float_of_int c.Core.Prof.unit_cache_hits
-      /. float_of_int c.Core.Prof.requests_served
+      float_of_int c.Frontend.Prof.unit_cache_hits
+      /. float_of_int c.Frontend.Prof.requests_served
   in
   let stats =
     {
-      Perfect.Driver.sv_requests = c.Core.Prof.requests_served;
+      Perfect.Driver.sv_requests = c.Frontend.Prof.requests_served;
       sv_cold_rps = cold_rps;
       sv_warm_rps = warm_rps;
       sv_p50_ms = percentile pooled 0.50;
@@ -600,7 +611,7 @@ let serve_bench ?(jobs = 1) ?(clients = 4) ?(reps = 3) ?(max_cache_units = 0)
       sv_warm_p90_ms = percentile warm_lats 0.90;
       sv_warm_p99_ms = percentile warm_lats 0.99;
       sv_hit_ratio = hit_ratio;
-      sv_snapshot_restores = c.Core.Prof.snapshot_restores;
+      sv_snapshot_restores = c.Frontend.Prof.snapshot_restores;
       sv_clients = per_client;
       sv_speedup = speedup;
       sv_cores = cores;
@@ -753,7 +764,7 @@ let find_point points key =
 
 (* [compare OLD NEW]: per-point wall-clock / exec / dependence-cache
    diff between two bench JSON documents (any mix of schema versions
-   2-6; fields a version lacks render as "-").  Purely informational:
+   2-9; fields a version lacks render as "-").  Purely informational:
    always exits 0 unless a file is unreadable. *)
 let cmd_compare old_path new_path =
   let old_doc = read_bench_json old_path in

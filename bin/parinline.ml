@@ -87,12 +87,10 @@ let read_file path =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
 
-let mode_of_string = function
-  | "none" | "no-inlining" -> Core.Pipeline.No_inlining
-  | "conventional" -> Core.Pipeline.Conventional
-  | "annotation" | "annotation-based" -> Core.Pipeline.Annotation_based
-  | "demand" | "demand-driven" -> Core.Pipeline.Demand
-  | m ->
+let mode_of_string m =
+  match Core.Pipeline.mode_of_string m with
+  | Ok mode -> mode
+  | Error _ ->
       fail_cli
         "unknown mode %S (expected none | conventional | annotation | demand)"
         m
@@ -122,7 +120,7 @@ let strict f =
       exit 2
   | exception Core.Annot_parser.Annot_parse_error m ->
       fail_cli "annotation file rejected: %s" m
-  | exception Core.Fault.Injected (site, n) ->
+  | exception Frontend.Fault.Injected (site, n) ->
       prerr_endline
         (Core.Diag.render
            (Core.Diag.make Core.Diag.Exec
@@ -144,19 +142,19 @@ let with_chaos chaos f =
   match chaos with
   | None -> f ()
   | Some spec -> (
-      match Core.Fault.parse_spec spec with
+      match Frontend.Fault.parse_spec spec with
       | Error m -> fail_cli "bad --chaos spec: %s" m
       | Ok pl ->
-          at_exit (fun () -> prerr_endline (Core.Fault.summary pl));
-          Core.Fault.with_plan pl f)
+          at_exit (fun () -> prerr_endline (Frontend.Fault.summary pl));
+          Frontend.Fault.with_plan pl f)
 
 (* --profile support: build a profile when asked, render it on stderr
    once the work is done. *)
-let make_prof profile = if profile then Some (Core.Prof.create ()) else None
+let make_prof profile = if profile then Some (Frontend.Prof.create ()) else None
 
 let dump_prof = function
   | None -> ()
-  | Some p -> prerr_string (Core.Prof.render p)
+  | Some p -> prerr_string (Frontend.Prof.render p)
 
 (* --trace-out support: arm a span sink for the duration of [f] and
    export the stream as Chrome trace_event JSON (atomically — a killed
@@ -165,16 +163,17 @@ let with_trace trace_out f =
   match trace_out with
   | None -> f ()
   | Some path ->
-      let s = Core.Span.create () in
+      let s = Frontend.Span.create () in
       let written = ref false in
       let write () =
         if not !written then begin
           written := true;
-          Perfect.Driver.write_file_atomic path (Core.Span.to_chrome_json s);
+          Perfect.Driver.write_file_atomic path
+            (Frontend.Span.to_chrome_json s);
           Printf.eprintf "trace: wrote %d events to %s%s\n"
-            (List.length (Core.Span.events s))
+            (List.length (Frontend.Span.events s))
             path
-            (match Core.Span.dropped s with
+            (match Frontend.Span.dropped s with
             | 0 -> ""
             | n -> Printf.sprintf " (%d spans dropped)" n)
         end
@@ -182,7 +181,7 @@ let with_trace trace_out f =
       (* the commands exit from inside [f] on diagnostics (1) and fatals
          (2); at_exit still gets the trace out on those paths *)
       at_exit write;
-      let r = Core.Span.with_tracing s f in
+      let r = Frontend.Span.with_tracing s f in
       write ();
       r
 
@@ -289,14 +288,14 @@ let exec_run source_file annot_file mode threads keep_going max_errors fuel
   in
   print_diags r.res_diags;
   let fuel = if fuel <= 0 then None else Some fuel in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Frontend.Prof.monotonic_ns () in
   match
-    Core.Prof.with_opt prof (fun () ->
-        Core.Prof.time "execute" (fun () ->
+    Frontend.Prof.with_opt prof (fun () ->
+        Frontend.Prof.time "execute" (fun () ->
             Runtime.Interp.run_program ~threads ?fuel r.res_program))
   with
   | output ->
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Frontend.Prof.seconds_since t0 in
       print_string output;
       Printf.eprintf "elapsed: %.3fs (threads=%d)\n" dt threads;
       dump_prof prof;
@@ -308,7 +307,7 @@ let exec_run source_file annot_file mode threads keep_going max_errors fuel
   | exception Runtime.Value.Runtime_error m ->
       prerr_endline (Core.Diag.render (Core.Diag.make Core.Diag.Exec m));
       exit 2
-  | exception Core.Fault.Injected (site, n) ->
+  | exception Frontend.Fault.Injected (site, n) ->
       print_diags
         (r.res_diags
         @ [
@@ -344,8 +343,8 @@ let check_run source_file annot_file mode threads keep_going max_errors fuel
   print_diags r.res_diags;
   let fuel = if fuel <= 0 then None else Some fuel in
   let v =
-    Core.Prof.with_opt prof (fun () ->
-        Core.Prof.time "validate" (fun () ->
+    Frontend.Prof.with_opt prof (fun () ->
+        Frontend.Prof.time "validate" (fun () ->
             Checker.Oracle.validate ~threads ?fuel r.res_program))
   in
   print_diags v.Checker.Oracle.v_diags;
@@ -601,23 +600,23 @@ let bench_run name threads chaos =
   | Some b -> (
       match
         with_chaos chaos @@ fun () ->
-        let row = Perfect.Experiment.table2_row b in
+        let points = Perfect.Driver.run_suite ~benches:[ b ] () in
         Printf.printf "%s: %s\n" b.name b.description;
-        let show label (c : Perfect.Experiment.mode_cells) =
-          Printf.printf "  %-16s par=%3d loss=%3d extra=%3d size=%5d%s\n"
-            label c.m_par c.m_loss c.m_extra c.m_size
-            (match Core.Diag.summary c.m_diags with
-            | "" -> ""
-            | s -> "  [" ^ s ^ "]")
-        in
-        show "no-inlining" row.t2_no_inline;
-        show "conventional" row.t2_conventional;
-        show "annotation" row.t2_annotation;
-        let f = Perfect.Experiment.fig20_row ~threads b in
+        List.iter2
+          (fun label (p : Perfect.Driver.point) ->
+            Printf.printf "  %-16s par=%3d loss=%3d extra=%3d size=%5d%s\n"
+              label p.pt_par p.pt_loss p.pt_extra p.pt_size
+              (match Core.Diag.summary p.pt_diags with
+              | "" -> ""
+              | s -> "  [" ^ s ^ "]"))
+          [ "no-inlining"; "conventional"; "annotation"; "demand" ]
+          points;
+        let f = Perfect.Experiment.fig20_row ~threads b points in
         Printf.printf
           "  fig20 (threads=%d): seq=%.3fs  speedups: none=%.2f conv=%.2f \
-           annot=%.2f\n"
+           annot=%.2f demand=%.2f\n"
           threads f.f_seq f.f_no_inline f.f_conventional f.f_annotation
+          f.f_demand
       with
       | () -> ()
       | exception Core.Diag.Fatal d ->

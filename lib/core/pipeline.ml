@@ -26,6 +26,13 @@ let mode_name = function
   | Annotation_based -> "annotation-based"
   | Demand -> "demand"
 
+let mode_of_string = function
+  | "none" | "no-inlining" -> Ok No_inlining
+  | "conventional" -> Ok Conventional
+  | "annotation" | "annotation-based" -> Ok Annotation_based
+  | "demand" | "demand-driven" -> Ok Demand
+  | m -> Error (Printf.sprintf "unknown mode %S" m)
+
 type result = {
   res_mode : mode;
   res_program : Ast.program;  (** final optimized source *)

@@ -12,6 +12,12 @@ type mode = No_inlining | Conventional | Annotation_based | Demand
 
 val mode_name : mode -> string
 
+(** The accepted mode spellings — [none]/[no-inlining], [conventional],
+    [annotation]/[annotation-based], [demand]/[demand-driven] — shared
+    by the CLI and the daemon; anything else is
+    [Error "unknown mode \"x\""]. *)
+val mode_of_string : string -> (mode, string) result
+
 type result = {
   res_mode : mode;
   res_program : Ast.program;  (** final optimized source *)

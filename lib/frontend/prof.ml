@@ -4,8 +4,8 @@
 
     Like {!Diag}, the representation lives in [frontend] — the lowest
     layer every library depends on — so the dependence tester and the
-    inliners can tick counters without a dependency cycle; [Core.Prof]
-    re-exports it with pipeline-level rendering.
+    inliners can tick counters without a dependency cycle, and the
+    pipeline, the suite driver and the daemon name it [Frontend.Prof].
 
     The interface is zero-cost when off: a profile is installed with
     {!with_profiling} into domain-local storage, and every tick or timer
@@ -16,6 +16,10 @@
     it is running. *)
 
 external monotonic_ns : unit -> int64 = "parinline_monotonic_ns"
+
+(** Seconds elapsed since [t0], a {!monotonic_ns} reading: the one
+    duration-safe stopwatch (wall-clock time can step). *)
+let seconds_since t0 = Int64.to_float (Int64.sub (monotonic_ns ()) t0) /. 1e9
 
 (** Work counters.  Mutable fields, read directly by reporters. *)
 type counters = {
@@ -265,6 +269,29 @@ let snapshot (p : t) : counters =
     unit_cache_hits = p.c.unit_cache_hits;
     snapshot_restores = p.c.snapshot_restores;
   }
+
+(** The counters as the one JSON object both the bench document and the
+    daemon's [stats] op carry: one integer per field, in declaration
+    order.  Like {!snapshot}, the explicit field list is the one place a
+    new counter gets its key. *)
+let counters_json (c : counters) : Json.t =
+  Json.Obj
+    [
+      ("dep_tests_run", Json.Int c.dep_tests_run);
+      ("dep_tests_independent", Json.Int c.dep_tests_independent);
+      ("dep_cache_hits", Json.Int c.dep_cache_hits);
+      ("dep_cache_misses", Json.Int c.dep_cache_misses);
+      ("annot_sites_inlined", Json.Int c.annot_sites_inlined);
+      ("reverse_sites_matched", Json.Int c.reverse_sites_matched);
+      ("stmts_normalized", Json.Int c.stmts_normalized);
+      ("iterations_traced", Json.Int c.iterations_traced);
+      ("race_conflicts", Json.Int c.race_conflicts);
+      ("race_excused", Json.Int c.race_excused);
+      ("faults_injected", Json.Int c.faults_injected);
+      ("requests_served", Json.Int c.requests_served);
+      ("unit_cache_hits", Json.Int c.unit_cache_hits);
+      ("snapshot_restores", Json.Int c.snapshot_restores);
+    ]
 
 (** Multi-line report: pass timings in pipeline order plus the work
     counters, e.g. for [parinline --profile]. *)

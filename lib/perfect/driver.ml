@@ -15,7 +15,7 @@
     one regardless of how tasks land on domains.  All the id counters
     this relies on are domain-local (see [Frontend.Ast]).
 
-    Each task carries its own {!Core.Prof} profile (installed
+    Each task carries its own {!Frontend.Prof} profile (installed
     domain-locally), so per-pass timings and analysis counters of
     concurrent compilations never mix.  {!to_json} serializes the
     resulting points in the stable schema CI archives on every run. *)
@@ -38,7 +38,7 @@ type point = {
           when the suite ran with [~time_exec:true]; [None] otherwise or
           when execution failed *)
   pt_pass_ms : (string * float) list;  (** per-pass milliseconds *)
-  pt_counters : Prof.counters;
+  pt_counters : Frontend.Prof.counters;
   pt_diags : Diag.t list;  (** salvage record; [[]] on a healthy run *)
   pt_crashed : bool;
       (** the task died beyond salvage (e.g. unparseable source); the
@@ -59,6 +59,9 @@ type point = {
   pt_original : int list;  (** loop ids of the benchmark's input program *)
   pt_plan : Planner.plan option;
       (** the demand configuration's plan trace; [None] elsewhere *)
+  pt_program : Frontend.Ast.program option;
+      (** the optimized program, which Fig. 20 and the output checks
+          run; [None] on a crashed point *)
 }
 
 let configs =
@@ -77,27 +80,38 @@ type task_result = {
   tr_result : Pipeline.result option;  (** [None] = crashed beyond salvage *)
   tr_wall_ms : float;
   tr_exec_ms : float option;
-  tr_prof : Prof.t;
+  tr_prof : Frontend.Prof.t;
   tr_diags : Diag.t list;
   tr_plan : Planner.plan option;  (** [Demand] tasks only *)
 }
 
+(* A task that produced nothing, with the cause in [diags]. *)
+let crashed_task diags =
+  {
+    tr_result = None;
+    tr_wall_ms = 0.0;
+    tr_exec_ms = None;
+    tr_prof = Frontend.Prof.create ();
+    tr_diags = diags;
+    tr_plan = None;
+  }
+
 let run_task ?par_config ?growth_budget ?validate ?validate_threads ?span
     ?(time_exec = false) (b : Bench_def.t) (mode : Pipeline.mode) :
     task_result =
-  let prof = Prof.create () in
+  let prof = Frontend.Prof.create () in
   let dg = Diag.collector () in
-  let t0 = Prof.monotonic_ns () in
+  let t0 = Frontend.Prof.monotonic_ns () in
   let result, crash =
     match
-      Prof.with_profiling prof @@ fun () ->
-      Span.with_opt span @@ fun () ->
-      Span.span ~cat:"driver" ~unit_:b.name
+      Frontend.Prof.with_profiling prof @@ fun () ->
+      Frontend.Span.with_opt span @@ fun () ->
+      Frontend.Span.span ~cat:"driver" ~unit_:b.name
         ("task:" ^ Pipeline.mode_name mode)
       @@ fun () ->
       reset_gensyms ();
-      let program = Prof.time "parse" (fun () -> Bench_def.parse b) in
-      let annots = Prof.time "parse" (fun () -> Bench_def.annots b) in
+      let program = Frontend.Prof.time "parse" (fun () -> Bench_def.parse b) in
+      let annots = Frontend.Prof.time "parse" (fun () -> Bench_def.annots b) in
       Planner.compile ?growth_budget ?par_config ?validate ?validate_threads
         ~annots ~dg ~mode program
     with
@@ -120,9 +134,7 @@ let run_task ?par_config ?growth_budget ?validate ?validate_threads ?span
         in
         (None, [ d ])
   in
-  let wall_ms =
-    Int64.to_float (Int64.sub (Prof.monotonic_ns ()) t0) /. 1e6
-  in
+  let wall_ms = 1000.0 *. Frontend.Prof.seconds_since t0 in
   (* Serial execution timing of the optimized program (schema v4): a
      single-threaded interpreter run, so the number measures the
      compiled-statement hot path without pool scheduling noise.  An
@@ -134,11 +146,9 @@ let run_task ?par_config ?growth_budget ?validate ?validate_threads ?span
       match result with
       | None -> None
       | Some (r, _) -> (
-          let e0 = Prof.monotonic_ns () in
+          let e0 = Frontend.Prof.monotonic_ns () in
           match Runtime.Interp.run_program ~threads:1 r.Pipeline.res_program with
-          | (_ : string) ->
-              Some
-                (Int64.to_float (Int64.sub (Prof.monotonic_ns ()) e0) /. 1e6)
+          | (_ : string) -> Some (1000.0 *. Frontend.Prof.seconds_since e0)
           | exception _ -> None)
   in
   let diags =
@@ -187,18 +197,7 @@ let run_suite ?(jobs = 1) ?par_config ?growth_budget ?validate
   (* A failed or abandoned chunk degrades to a crashed point carrying
      the cause; the remaining 47 tasks are untouched.  Tasks are
      idempotent ([out.(i) <- ...]), so pool-level retries are safe. *)
-  let degrade chunk (d : Diag.t) =
-    out.(chunk) <-
-      Some
-        {
-          tr_result = None;
-          tr_wall_ms = 0.0;
-          tr_exec_ms = None;
-          tr_prof = Prof.create ();
-          tr_diags = [ d ];
-          tr_plan = None;
-        }
-  in
+  let degrade chunk (d : Diag.t) = out.(chunk) <- Some (crashed_task [ d ]) in
   let absorb (ev : Runtime.Pool.event) =
     match ev with
     | Runtime.Pool.Chunk_retried { chunk; _ } ->
@@ -248,12 +247,9 @@ let run_suite ?(jobs = 1) ?par_config ?growth_budget ?validate
     (List.mapi
        (fun bi (b : Bench_def.t) ->
          let tr m =
-           match out.((bi * List.length configs) + m) with
-           | Some r -> r
-           | None ->
-               (* unreachable: parallel_for ran every chunk *)
-               { tr_result = None; tr_wall_ms = 0.0; tr_exec_ms = None;
-                 tr_prof = Prof.create (); tr_diags = []; tr_plan = None }
+           (* [None] is unreachable: parallel_for ran every chunk *)
+           Option.value ~default:(crashed_task [])
+             out.((bi * List.length configs) + m)
          in
          let base = (tr 0).tr_result in
          List.mapi
@@ -279,24 +275,23 @@ let run_suite ?(jobs = 1) ?par_config ?growth_budget ?validate
                pt_size = size;
                pt_wall_ms = t.tr_wall_ms;
                pt_exec_ms = t.tr_exec_ms;
-               pt_pass_ms = Prof.pass_ms t.tr_prof;
-               pt_counters = Prof.snapshot t.tr_prof;
+               pt_pass_ms = Frontend.Prof.pass_ms t.tr_prof;
+               pt_counters = Frontend.Prof.snapshot t.tr_prof;
                pt_diags = t.tr_diags;
                pt_crashed = t.tr_result = None;
                pt_retries = retries_arr.(chunk);
                pt_deadline_misses = dmiss_arr.(chunk);
                pt_validation =
-                 Option.bind t.tr_result (fun r ->
-                     r.Pipeline.res_validation);
+                 Option.bind t.tr_result (fun r -> r.Pipeline.res_validation);
                pt_verdicts =
-                 (match t.tr_result with
-                 | None -> []
-                 | Some r -> Pipeline.verdict_map r);
+                 Option.fold ~none:[] ~some:Pipeline.verdict_map t.tr_result;
                pt_original =
-                 (match t.tr_result with
-                 | None -> []
-                 | Some r -> r.Pipeline.res_original_loops);
+                 Option.fold ~none:[]
+                   ~some:(fun r -> r.Pipeline.res_original_loops)
+                   t.tr_result;
                pt_plan = t.tr_plan;
+               pt_program =
+                 Option.map (fun r -> r.Pipeline.res_program) t.tr_result;
              })
            configs)
        benches)
@@ -352,118 +347,71 @@ let explain (points : point list) : Explain.t =
 (* Machine-readable output                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand-rolled JSON: the container has no JSON library and the schema is
-   small and flat.  Floats print as %.3f (finite by construction). *)
+(* Documents are built as {!Json.t}: integral floats print without
+   decimals, the others as %.3f (finite by construction). *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-let json_num f = Printf.sprintf "%.3f" f
-
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_str k ^ ":" ^ v) fields)
-  ^ "}"
-
-let json_of_point (p : point) =
+let json_of_point (p : point) : Json.t =
   let c = p.pt_counters in
-  json_obj
+  Json.Obj
     [
-      ("bench", json_str p.pt_bench);
-      ("config", json_str (Pipeline.mode_name p.pt_config));
-      ("par_loops", string_of_int p.pt_par);
-      ("loss", string_of_int p.pt_loss);
-      ("extra", string_of_int p.pt_extra);
-      ("code_size", string_of_int p.pt_size);
-      ("wall_ms", json_num p.pt_wall_ms);
+      ("bench", Json.Str p.pt_bench);
+      ("config", Json.Str (Pipeline.mode_name p.pt_config));
+      ("par_loops", Json.Int p.pt_par);
+      ("loss", Json.Int p.pt_loss);
+      ("extra", Json.Int p.pt_extra);
+      ("code_size", Json.Int p.pt_size);
+      ("wall_ms", Json.Float p.pt_wall_ms);
       ( "exec_ms",
-        match p.pt_exec_ms with None -> "null" | Some ms -> json_num ms );
-      ("retries", string_of_int p.pt_retries);
-      ("deadline_misses", string_of_int p.pt_deadline_misses);
+        Option.fold ~none:Json.Null ~some:(fun ms -> Json.Float ms)
+          p.pt_exec_ms );
+      ("retries", Json.Int p.pt_retries);
+      ("deadline_misses", Json.Int p.pt_deadline_misses);
       ( "cache_hit_ratio",
-        if c.Prof.dep_tests_run = 0 then "null"
+        if c.Frontend.Prof.dep_tests_run = 0 then Json.Null
         else
-          json_num
-            (float_of_int c.Prof.dep_cache_hits
-            /. float_of_int c.Prof.dep_tests_run) );
+          Json.Float
+            (float_of_int c.Frontend.Prof.dep_cache_hits
+            /. float_of_int c.Frontend.Prof.dep_tests_run) );
       ( "pass_ms",
-        json_obj (List.map (fun (k, ms) -> (k, json_num ms)) p.pt_pass_ms) );
-      ( "counters",
-        json_obj
-          [
-            ("dep_tests_run", string_of_int c.Prof.dep_tests_run);
-            ("dep_tests_independent", string_of_int c.Prof.dep_tests_independent);
-            ("dep_cache_hits", string_of_int c.Prof.dep_cache_hits);
-            ("dep_cache_misses", string_of_int c.Prof.dep_cache_misses);
-            ("annot_sites_inlined", string_of_int c.Prof.annot_sites_inlined);
-            ("reverse_sites_matched", string_of_int c.Prof.reverse_sites_matched);
-            ("stmts_normalized", string_of_int c.Prof.stmts_normalized);
-            ("iterations_traced", string_of_int c.Prof.iterations_traced);
-            ("race_conflicts", string_of_int c.Prof.race_conflicts);
-            ("race_excused", string_of_int c.Prof.race_excused);
-            ("faults_injected", string_of_int c.Prof.faults_injected);
-            ("requests_served", string_of_int c.Prof.requests_served);
-            ("unit_cache_hits", string_of_int c.Prof.unit_cache_hits);
-            ("snapshot_restores", string_of_int c.Prof.snapshot_restores);
-          ] );
+        Json.Obj (List.map (fun (k, ms) -> (k, Json.Float ms)) p.pt_pass_ms) );
+      ("counters", Frontend.Prof.counters_json c);
       ( "validation",
-        match p.pt_validation with
-        | None -> "null"
-        | Some v ->
-            json_obj
+        Option.fold ~none:Json.Null
+          ~some:(fun (v : Checker.Oracle.verdict) ->
+            Json.Obj
               [
-                ("ok", if v.Checker.Oracle.v_ok then "true" else "false");
-                ("races", string_of_int v.Checker.Oracle.v_unexcused);
-                ("excused", string_of_int v.Checker.Oracle.v_excused);
-                ("iterations", string_of_int v.Checker.Oracle.v_iterations);
-                ( "diverged",
-                  if v.Checker.Oracle.v_diverged then "true" else "false" );
-                ( "crashed",
-                  if v.Checker.Oracle.v_crashed then "true" else "false" );
-                ("verdict", json_str (Checker.Oracle.verdict_summary v));
-              ] );
+                ("ok", Json.Bool v.v_ok);
+                ("races", Json.Int v.v_unexcused);
+                ("excused", Json.Int v.v_excused);
+                ("iterations", Json.Int v.v_iterations);
+                ("diverged", Json.Bool v.v_diverged);
+                ("crashed", Json.Bool v.v_crashed);
+                ("verdict", Json.Str (Checker.Oracle.verdict_summary v));
+              ])
+          p.pt_validation );
       ( "salvage",
-        json_obj
+        Json.Obj
           [
-            ("errors", string_of_int (Diag.errors_in p.pt_diags));
-            ("warnings", string_of_int (Diag.warnings_in p.pt_diags));
-            ("crashed", if p.pt_crashed then "true" else "false");
+            ("errors", Json.Int (Diag.errors_in p.pt_diags));
+            ("warnings", Json.Int (Diag.warnings_in p.pt_diags));
+            ("crashed", Json.Bool p.pt_crashed);
             ( "messages",
-              "["
-              ^ String.concat ","
-                  (List.map (fun d -> json_str (Diag.render d)) p.pt_diags)
-              ^ "]" );
+              Json.List
+                (List.map (fun d -> Json.Str (Diag.render d)) p.pt_diags) );
           ] );
       ( "planner",
-        match p.pt_plan with
-        | None -> "null"
-        | Some pl ->
-            json_obj
+        Option.fold ~none:Json.Null
+          ~some:(fun (pl : Planner.plan) ->
+            Json.Obj
               [
-                ("rounds", string_of_int (List.length pl.Planner.pl_rounds));
-                ("sites_inlined", string_of_int pl.Planner.pl_sites);
-                ("growth_ratio", json_num pl.Planner.pl_growth);
-                ( "blockers_resolved",
-                  string_of_int (List.length pl.Planner.pl_resolved) );
-                ( "blockers_remaining",
-                  string_of_int (List.length pl.Planner.pl_remaining) );
-                ( "budget_exhausted",
-                  if pl.Planner.pl_budget_exhausted then "true" else "false"
-                );
-              ] );
+                ("rounds", Json.Int (List.length pl.pl_rounds));
+                ("sites_inlined", Json.Int pl.pl_sites);
+                ("growth_ratio", Json.Float pl.pl_growth);
+                ("blockers_resolved", Json.Int (List.length pl.pl_resolved));
+                ("blockers_remaining", Json.Int (List.length pl.pl_remaining));
+                ("budget_exhausted", Json.Bool pl.pl_budget_exhausted);
+              ])
+          p.pt_plan );
       ( "verdicts",
         let vs = List.map snd p.pt_verdicts in
         let parallel = List.filter Verdict.is_parallel vs in
@@ -478,18 +426,18 @@ let json_of_point (p : point) =
                   (1 + Option.value ~default:0 (Hashtbl.find_opt hist k)))
               (Verdict.blockers v))
           serial;
-        json_obj
+        Json.Obj
           [
-            ("parallel", string_of_int (List.length parallel));
+            ("parallel", Json.Int (List.length parallel));
             ( "marked",
-              string_of_int (List.length (List.filter Verdict.is_marked vs)) );
-            ("serial", string_of_int (List.length serial));
+              Json.Int (List.length (List.filter Verdict.is_marked vs)) );
+            ("serial", Json.Int (List.length serial));
             ( "blockers",
-              json_obj
-                (List.sort compare
-                   (Hashtbl.fold
-                      (fun k n acc -> (k, string_of_int n) :: acc)
-                      hist [])) );
+              Json.Obj
+                (List.map
+                   (fun (k, n) -> (k, Json.Int n))
+                   (List.sort compare
+                      (Hashtbl.fold (fun k n acc -> (k, n) :: acc) hist []))) );
           ] );
     ]
 
@@ -560,60 +508,58 @@ type serve_stats = {
   sv_max_cache_units : int;  (** v9: the cap driven (0 = unbounded) *)
 }
 
-let json_of_serve (s : serve_stats) =
-  json_obj
+let json_of_serve (s : serve_stats) : Json.t =
+  Json.Obj
     [
-      ("requests", string_of_int s.sv_requests);
-      ("cold_rps", json_num s.sv_cold_rps);
-      ("warm_rps", json_num s.sv_warm_rps);
-      ("p50_ms", json_num s.sv_p50_ms);
-      ("p99_ms", json_num s.sv_p99_ms);
-      ("cold_p50_ms", json_num s.sv_cold_p50_ms);
-      ("cold_p90_ms", json_num s.sv_cold_p90_ms);
-      ("cold_p99_ms", json_num s.sv_cold_p99_ms);
-      ("warm_p50_ms", json_num s.sv_warm_p50_ms);
-      ("warm_p90_ms", json_num s.sv_warm_p90_ms);
-      ("warm_p99_ms", json_num s.sv_warm_p99_ms);
-      ("unit_hit_ratio", json_num s.sv_hit_ratio);
-      ("snapshot_restores", string_of_int s.sv_snapshot_restores);
+      ("requests", Json.Int s.sv_requests);
+      ("cold_rps", Json.Float s.sv_cold_rps);
+      ("warm_rps", Json.Float s.sv_warm_rps);
+      ("p50_ms", Json.Float s.sv_p50_ms);
+      ("p99_ms", Json.Float s.sv_p99_ms);
+      ("cold_p50_ms", Json.Float s.sv_cold_p50_ms);
+      ("cold_p90_ms", Json.Float s.sv_cold_p90_ms);
+      ("cold_p99_ms", Json.Float s.sv_cold_p99_ms);
+      ("warm_p50_ms", Json.Float s.sv_warm_p50_ms);
+      ("warm_p90_ms", Json.Float s.sv_warm_p90_ms);
+      ("warm_p99_ms", Json.Float s.sv_warm_p99_ms);
+      ("unit_hit_ratio", Json.Float s.sv_hit_ratio);
+      ("snapshot_restores", Json.Int s.sv_snapshot_restores);
       ( "clients",
-        "["
-        ^ String.concat ","
-            (List.map
-               (fun cp ->
-                 json_obj
-                   [
-                     ("clients", string_of_int cp.cp_clients);
-                     ("rps", json_num cp.cp_rps);
-                     ("p50_ms", json_num cp.cp_p50_ms);
-                     ("p99_ms", json_num cp.cp_p99_ms);
-                   ])
-               s.sv_clients)
-        ^ "]" );
-      ("concurrent_speedup", json_num s.sv_speedup);
-      ("cores", string_of_int s.sv_cores);
-      ("evictions", string_of_int s.sv_evictions);
-      ("cache_units", string_of_int s.sv_cache_units);
-      ("max_cache_units", string_of_int s.sv_max_cache_units);
+        Json.List
+          (List.map
+             (fun cp ->
+               Json.Obj
+                 [
+                   ("clients", Json.Int cp.cp_clients);
+                   ("rps", Json.Float cp.cp_rps);
+                   ("p50_ms", Json.Float cp.cp_p50_ms);
+                   ("p99_ms", Json.Float cp.cp_p99_ms);
+                 ])
+             s.sv_clients) );
+      ("concurrent_speedup", Json.Float s.sv_speedup);
+      ("cores", Json.Int s.sv_cores);
+      ("evictions", Json.Int s.sv_evictions);
+      ("cache_units", Json.Int s.sv_cache_units);
+      ("max_cache_units", Json.Int s.sv_max_cache_units);
     ]
 
 let to_json ?(explain : Explain.t option) ?(serve : serve_stats option)
     (points : point list) : string =
-  json_obj
-    ([
-       ("schema_version", "9");
-       ("suite", json_str "perfect");
-       ("jobs_deterministic", "true");
-       ( "points",
-         "[" ^ String.concat "," (List.map json_of_point points) ^ "]" );
-     ]
-    @ (match explain with
-      | None -> []
-      | Some e -> [ ("explain_diff", Json.to_string (Explain.to_json e)) ])
-    @
-    match serve with
-    | None -> []
-    | Some s -> [ ("serve", json_of_serve s) ])
+  Json.to_string
+    (Json.Obj
+       ([
+          ("schema_version", Json.Int 9);
+          ("suite", Json.Str "perfect");
+          ("jobs_deterministic", Json.Bool true);
+          ("points", Json.List (List.map json_of_point points));
+        ]
+       @ (match explain with
+         | None -> []
+         | Some e -> [ ("explain_diff", Explain.to_json e) ])
+       @
+       match serve with
+       | None -> []
+       | Some s -> [ ("serve", json_of_serve s) ]))
   ^ "\n"
 
 (* ------------------------------------------------------------------ *)

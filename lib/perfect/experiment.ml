@@ -1,63 +1,11 @@
-(** Experiment driver: reproduces the paper's evaluation artifacts for one
-    benchmark -- the Table II row (three configurations compared on loop
-    counts and code size) and the Figure 20 measurements (speedups of the
-    optimized programs over the sequential original, after the paper's
-    "empirical performance tuning" step that disables counterproductive
-    parallel loops). *)
+(** Experiment driver: the paper's Figure 20 measurements (speedups of
+    the optimized programs over the sequential original, after the
+    paper's "empirical performance tuning" step that disables
+    counterproductive parallel loops) and the output agreement check.
+    It compiles nothing: the optimized programs are the ones
+    {!Driver.run_suite} compiled for Table II, read off its points. *)
 
 open Core
-
-type mode_cells = {
-  m_par : int;  (** #par-loops *)
-  m_loss : int;
-  m_extra : int;
-  m_size : int;  (** non-comment lines after optimization *)
-  m_diags : Diag.t list;
-      (** per-benchmark salvage record from the fault-isolated pipeline;
-          empty on a healthy run *)
-}
-
-type table2_row = {
-  t2_name : string;
-  t2_no_inline : mode_cells;
-  t2_conventional : mode_cells;
-  t2_annotation : mode_cells;
-}
-
-(* Benchmarks run through the fault-isolated pipeline: a sick unit or a
-   failing annotation degrades locally, and whatever was salvaged is
-   reported per benchmark through [m_diags]. *)
-let run_modes ?par_config (b : Bench_def.t) =
-  let program = Bench_def.parse b in
-  let annots = Bench_def.annots b in
-  let run mode = Pipeline.run_robust ?par_config ~annots ~mode program in
-  let base = run Pipeline.No_inlining in
-  let conv = run Pipeline.Conventional in
-  let annot = run Pipeline.Annotation_based in
-  (base, conv, annot)
-
-let table2_row ?par_config (b : Bench_def.t) : table2_row =
-  let base, conv, annot = run_modes ?par_config b in
-  let cells (r : Pipeline.result) =
-    let par, loss, extra = Pipeline.table2_counts ~baseline:base r in
-    {
-      m_par = par;
-      m_loss = loss;
-      m_extra = extra;
-      m_size = r.res_code_size;
-      m_diags = r.res_diags;
-    }
-  in
-  {
-    t2_name = b.name;
-    t2_no_inline = cells base;
-    t2_conventional = cells conv;
-    t2_annotation = cells annot;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Figure 20: runtime speedups                                          *)
-(* ------------------------------------------------------------------ *)
 
 type fig20_row = {
   f_name : string;
@@ -65,6 +13,7 @@ type fig20_row = {
   f_no_inline : float;  (** speedup vs sequential *)
   f_conventional : float;
   f_annotation : float;
+  f_demand : float;
 }
 
 (* Numeric output comparison with a small relative tolerance; the single
@@ -73,40 +22,24 @@ type fig20_row = {
    differ from the sequential run). *)
 let outputs_equal = Checker.Oracle.outputs_equal
 
-let time_run ?(repeat = 1) ~threads program =
-  (* best-of-N wall clock; also checks output stability *)
-  let best = ref infinity in
-  let out = ref "" in
-  for _ = 1 to repeat do
-    let t0 = Unix.gettimeofday () in
-    let o = Runtime.Interp.run_program ~threads program in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    out := o
+(* Run [f] [repeat] times (at least once): the fastest run's seconds on
+   the monotonic clock, with that run's result. *)
+let best_of ~repeat f =
+  let timed () =
+    let t0 = Frontend.Prof.monotonic_ns () in
+    let r = f () in
+    (Frontend.Prof.seconds_since t0, r)
+  in
+  let best = ref (timed ()) in
+  for _ = 2 to repeat do
+    let ((dt, _) as run) = timed () in
+    if dt < fst !best then best := run
   done;
-  (!best, !out)
+  !best
 
-(** The paper's empirical tuning step plus the Figure 20 measurement.
-
-    The authors ran on 4- and 8-core machines; this container may have a
-    single core, where wall-clock "speedups" of a multi-domain run are
-    meaningless.  We therefore support two measurement modes:
-
-    - [`Measured]: run the optimized program across domains after a
-      profile-guided tuning pass that disables directive loops whose
-      parallel execution is slower than their sequential execution (the
-      paper's "empirical performance tuning");
-    - [`Projected]: measure each directive loop's *sequential* time and
-      execution count, then project the parallel time with an Amdahl
-      model  t/P + n*fork_cost  per loop, choosing for every marked-loop
-      nest the level (outer vs inner) that maximizes the benefit -- the
-      same choice the tuner makes.  The projection is documented in
-      DESIGN.md as the substitution for the paper's multicore testbeds.
-
-    [`Auto] picks [`Measured] when the machine actually has at least
-    [threads] cores. *)
-
-type measure_mode = [ `Measured | `Projected | `Auto ]
+(* Best-of-[repeat] wall clock of [program] and its output. *)
+let time_run ?(repeat = 1) ~threads program =
+  best_of ~repeat (fun () -> Runtime.Interp.run_program ~threads program)
 
 (* Cost of one fork in the Amdahl model: a model constant, not a
    measurement (DESIGN.md, "Fork cost", has the measured one). *)
@@ -141,23 +74,15 @@ let unmark ids program =
         program.P.p_units;
   }
 
-(* Per-loop sequential times, execution counts and the total wall time,
-   all from one run (the best of [repeat] runs), so the loop times and
-   the total are mutually consistent even on a noisy machine. *)
+(* The total wall time with the per-loop sequential times and
+   execution counts, all from one run (the best of [repeat] runs), so
+   the loop times and the total are mutually consistent even on a noisy
+   machine. *)
 let seq_profile ~repeat program =
-  let best = ref infinity in
-  let best_tbl = ref (Hashtbl.create 0) in
-  for _ = 1 to max 1 repeat do
-    let tbl : (int, Runtime.Interp.prof_cell) Hashtbl.t = Hashtbl.create 32 in
-    let t0 = Unix.gettimeofday () in
-    ignore (Runtime.Interp.run_program ~threads:1 ~profile:tbl program);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then begin
-      best := dt;
-      best_tbl := tbl
-    end
-  done;
-  (!best_tbl, !best)
+  best_of ~repeat (fun () ->
+      let tbl : (int, Runtime.Interp.prof_cell) Hashtbl.t = Hashtbl.create 32 in
+      ignore (Runtime.Interp.run_program ~threads:1 ~profile:tbl program);
+      tbl)
 
 (* Amdahl gain of parallelizing one forking loop at [threads] ways:
    saved = t_forked*(1 - 1/P) - n*fork_cost, where t_forked scales the
@@ -184,7 +109,7 @@ let loop_gain ~threads ~(tseq : (int, Runtime.Interp.prof_cell) Hashtbl.t) id n
    its total projected gain. *)
 let rec tune_rounds ~threads ~repeat program round =
   let forking = forking_loops ~threads program in
-  let tseq, t_total = seq_profile ~repeat program in
+  let t_total, tseq = seq_profile ~repeat program in
   let gains =
     Hashtbl.fold
       (fun id (c : Runtime.Interp.prof_cell) acc ->
@@ -215,56 +140,99 @@ let projected_time ?(repeat = 1) ~threads program =
 
 let have_cores threads = Domain.recommended_domain_count () >= threads
 
-let fig20_row ?par_config ?(threads = 4) ?(repeat = 2)
-    ?(measure : measure_mode = `Auto) (b : Bench_def.t) : fig20_row =
-  let base, conv, annot = run_modes ?par_config b in
+(* The optimized program [mode] produced for [b] among the suite
+   [points]; [None] when the suite did not run it or its task crashed. *)
+let program_of (b : Bench_def.t) points mode =
+  List.find_map
+    (fun (p : Driver.point) ->
+      if String.equal p.pt_bench b.name && p.pt_config = mode then
+        p.pt_program
+      else None)
+    points
+
+(** One Figure 20 row: the speedup of each configuration's optimized
+    program in the suite [points] over the sequential original.
+
+    The authors ran on 4- and 8-core machines; this host may have fewer
+    cores than [threads], where wall-clock "speedups" of a multi-domain
+    run are meaningless.  So the row is measured or projected:
+
+    - measured, when the host has at least [threads] cores: run the
+      optimized program across domains after a profile-guided tuning
+      pass that disables directive loops whose parallel execution is
+      slower than their sequential execution (the paper's "empirical
+      performance tuning");
+    - projected otherwise: measure each directive loop's *sequential*
+      time and execution count, then project the parallel time with an
+      Amdahl model  t/P + n*fork_cost  per loop, choosing for every
+      marked-loop nest the level (outer vs inner) that maximizes the
+      benefit -- the same choice the tuner makes.  The projection is
+      documented in DESIGN.md as the substitution for the paper's
+      multicore testbeds.
+
+    A configuration missing from [points] (or crashed there) is fatal. *)
+let fig20_row ?(threads = 4) ?(repeat = 2) (b : Bench_def.t)
+    (points : Driver.point list) : fig20_row =
   let original = Bench_def.parse b in
   let t_seq, out_seq = time_run ~repeat ~threads:1 original in
-  let measured =
-    match measure with
-    | `Measured -> true
-    | `Projected -> false
-    | `Auto -> have_cores threads
-  in
-  let speedup (r : Pipeline.result) =
-    if measured then begin
-      let tuned = tune ~repeat ~threads r.res_program in
-      let t, out = time_run ~repeat ~threads tuned in
+  let measured = have_cores threads in
+  let speedup mode =
+    let program =
+      match program_of b points mode with
+      | Some p -> p
+      | None ->
+          Diag.fatal Diag.Exec "%s: no %s program among the suite points"
+            b.name (Pipeline.mode_name mode)
+    in
+    let check out =
       if not (outputs_equal out out_seq) then
         Diag.fatal Diag.Verify "%s: output mismatch under %s" b.name
-          (Pipeline.mode_name r.res_mode);
+          (Pipeline.mode_name mode)
+    in
+    if measured then begin
+      let tuned = tune ~repeat ~threads program in
+      let t, out = time_run ~repeat ~threads tuned in
+      check out;
       t_seq /. t
     end
     else begin
       (* correctness still validated with real domains, timing projected *)
-      let out = Runtime.Interp.run_program ~threads r.res_program in
-      if not (outputs_equal out out_seq) then
-        Diag.fatal Diag.Verify "%s: output mismatch under %s" b.name
-          (Pipeline.mode_name r.res_mode);
+      check (Runtime.Interp.run_program ~threads program);
       (* run-to-run noise can make the baseline slower than the optimized
          sequential run; the model never yields super-linear speedup *)
       Float.min
         (float_of_int threads)
-        (t_seq /. projected_time ~repeat ~threads r.res_program)
+        (t_seq /. projected_time ~repeat ~threads program)
     end
   in
+  let f_no_inline = speedup Pipeline.No_inlining in
+  let f_conventional = speedup Pipeline.Conventional in
+  let f_annotation = speedup Pipeline.Annotation_based in
+  let f_demand = speedup Pipeline.Demand in
   {
     f_name = b.name;
     f_seq = t_seq;
-    f_no_inline = speedup base;
-    f_conventional = speedup conv;
-    f_annotation = speedup annot;
+    f_no_inline;
+    f_conventional;
+    f_annotation;
+    f_demand;
   }
 
-(** Sanity harness used by tests: all three optimized programs and the
-    original produce identical output, sequentially and in parallel. *)
-let outputs_agree ?par_config ?(threads = 4) (b : Bench_def.t) : bool =
-  let base, conv, annot = run_modes ?par_config b in
-  let original = Bench_def.parse b in
-  let reference = Runtime.Interp.run_program ~threads:1 original in
+(** Sanity harness used by tests: the optimized program of every
+    configuration in the suite [points] and the original produce the
+    same output, sequentially and in parallel.  A configuration missing
+    from [points] (or crashed there) disagrees. *)
+let outputs_agree ?(threads = 4) (b : Bench_def.t)
+    (points : Driver.point list) : bool =
+  let reference =
+    Runtime.Interp.run_program ~threads:1 (Bench_def.parse b)
+  in
   List.for_all
-    (fun (r : Pipeline.result) ->
-      let seq = Runtime.Interp.run_program ~threads:1 r.res_program in
-      let par = Runtime.Interp.run_program ~threads r.res_program in
-      outputs_equal seq reference && outputs_equal par reference)
-    [ base; conv; annot ]
+    (fun mode ->
+      match program_of b points mode with
+      | None -> false
+      | Some program ->
+          let seq = Runtime.Interp.run_program ~threads:1 program in
+          let par = Runtime.Interp.run_program ~threads program in
+          outputs_equal seq reference && outputs_equal par reference)
+    Driver.configs

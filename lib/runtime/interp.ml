@@ -1064,8 +1064,8 @@ and compile_loop (env : cenv) (l : Ast.do_loop) : cstmt =
     let profiled = l.parallel <> None && not fr.in_parallel in
     let t0 =
       match fr.glb.profile with
-      | Some _ when profiled -> Unix.gettimeofday ()
-      | _ -> 0.0
+      | Some _ when profiled -> Frontend.Prof.monotonic_ns ()
+      | _ -> 0L
     in
     (match l.parallel with
     | Some omp when (not fr.in_parallel) && fr.glb.threads > 1 ->
@@ -1074,7 +1074,7 @@ and compile_loop (env : cenv) (l : Ast.do_loop) : cstmt =
     | _ -> run_seq fr lo hi step);
     match fr.glb.profile with
     | Some tbl when profiled -> (
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Frontend.Prof.seconds_since t0 in
         match Hashtbl.find_opt tbl l.loop_id with
         | Some c ->
             c.pt <- c.pt +. dt;

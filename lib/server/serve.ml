@@ -106,8 +106,9 @@ type t = {
   srv_units : Lru.t;
       (** content hash (hex) → serialized response body, LRU-bounded;
           has its own lock — shared by all connection workers *)
-  srv_prof : Prof.t;  (** server-lifetime counter aggregate *)
-  srv_metrics : Metrics.t;  (** live registry, armed for the daemon's life *)
+  srv_prof : Frontend.Prof.t;  (** server-lifetime counter aggregate *)
+  srv_metrics : Frontend.Metrics.t;
+      (** live registry, armed for the daemon's life *)
   srv_log : logger option;
   srv_t0_ns : int64;  (** startup, for the uptime gauge *)
   srv_inflight : int Atomic.t;  (** requests being handled right now *)
@@ -127,35 +128,37 @@ type t = {
    closed label set of {!op_label}; interning is a mutex + hashtable
    probe, and only happens with a registry armed. *)
 let g_uptime =
-  Metrics.gauge "parinline_uptime_seconds" ~help:"daemon uptime at scrape time"
+  Frontend.Metrics.gauge "parinline_uptime_seconds"
+    ~help:"daemon uptime at scrape time"
 
 let g_inflight =
-  Metrics.gauge "parinline_requests_in_flight"
+  Frontend.Metrics.gauge "parinline_requests_in_flight"
     ~help:"requests currently being handled"
 
 let g_units_cached =
-  Metrics.gauge "parinline_units_cached" ~help:"entries in the unit cache"
+  Frontend.Metrics.gauge "parinline_units_cached"
+    ~help:"entries in the unit cache"
 
 let g_cache_bytes =
-  Metrics.gauge "parinline_unit_cache_bytes"
+  Frontend.Metrics.gauge "parinline_unit_cache_bytes"
     ~help:"resident key+body bytes in the unit cache"
 
 let g_connections =
-  Metrics.gauge "parinline_connections_active"
+  Frontend.Metrics.gauge "parinline_connections_active"
     ~help:"socket connections currently open"
 
 let m_connections ~outcome =
-  Metrics.counter "parinline_connections_total"
+  Frontend.Metrics.counter "parinline_connections_total"
     ~help:"socket connections by outcome"
     ~labels:[ ("outcome", outcome) ]
 
 let m_request_hist ~op ~cache =
-  Metrics.histogram "parinline_request_duration_seconds"
+  Frontend.Metrics.histogram "parinline_request_duration_seconds"
     ~help:"request wall time by op and cache outcome"
     ~labels:[ ("op", op); ("cache", cache) ]
 
 let m_requests ~op ~status =
-  Metrics.counter "parinline_requests_total"
+  Frontend.Metrics.counter "parinline_requests_total"
     ~help:"protocol requests answered, by op and status"
     ~labels:[ ("op", op); ("status", status) ]
 
@@ -181,7 +184,7 @@ let log_line t ~(level : log_level) (fields : (string * Json.t) list) : unit =
       in
       Mutex.lock lg.lg_m;
       match
-        Fault.point "server.log";
+        Frontend.Fault.point "server.log";
         output_string lg.lg_oc line;
         output_char lg.lg_oc '\n';
         flush lg.lg_oc
@@ -199,12 +202,10 @@ let log_line t ~(level : log_level) (fields : (string * Json.t) list) : unit =
 (* Request plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A request without a mode runs the annotation-based configuration. *)
 let mode_of_string = function
-  | "none" | "no-inlining" -> Ok Pipeline.No_inlining
-  | "conventional" -> Ok Pipeline.Conventional
-  | "" | "annotation" | "annotation-based" -> Ok Pipeline.Annotation_based
-  | "demand" | "demand-driven" -> Ok Pipeline.Demand
-  | m -> Error (Printf.sprintf "unknown mode %S" m)
+  | "" -> Ok Pipeline.Annotation_based
+  | m -> Pipeline.mode_of_string m
 
 (** Build a work/control request object — the one true spelling, shared
     by the CLI client and the serve-bench harness. *)
@@ -241,25 +242,6 @@ let unit_hash ~op ~mode ~growth_budget ~max_rounds ~source ~annot =
             annot;
           ]))
 
-let counters_json (c : Prof.counters) : Json.t =
-  Json.Obj
-    [
-      ("dep_tests_run", Json.Int c.Prof.dep_tests_run);
-      ("dep_tests_independent", Json.Int c.Prof.dep_tests_independent);
-      ("dep_cache_hits", Json.Int c.Prof.dep_cache_hits);
-      ("dep_cache_misses", Json.Int c.Prof.dep_cache_misses);
-      ("annot_sites_inlined", Json.Int c.Prof.annot_sites_inlined);
-      ("reverse_sites_matched", Json.Int c.Prof.reverse_sites_matched);
-      ("stmts_normalized", Json.Int c.Prof.stmts_normalized);
-      ("iterations_traced", Json.Int c.Prof.iterations_traced);
-      ("race_conflicts", Json.Int c.Prof.race_conflicts);
-      ("race_excused", Json.Int c.Prof.race_excused);
-      ("faults_injected", Json.Int c.Prof.faults_injected);
-      ("requests_served", Json.Int c.Prof.requests_served);
-      ("unit_cache_hits", Json.Int c.Prof.unit_cache_hits);
-      ("snapshot_restores", Json.Int c.Prof.snapshot_restores);
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -275,7 +257,7 @@ let conn_stats t = Runtime.Pool.stats t.srv_conns
 (** Counter snapshot of the server-lifetime aggregate. *)
 let counters t =
   Mutex.lock t.srv_m;
-  let c = Prof.snapshot t.srv_prof in
+  let c = Frontend.Prof.snapshot t.srv_prof in
   Mutex.unlock t.srv_m;
   c
 
@@ -327,10 +309,10 @@ let create ?(jobs = 1) ?(conn_jobs = 0) ?(backlog = 16) ?(max_inflight = 64)
       srv_m = Mutex.create ();
       srv_units = Lru.create ~max_units:max_cache_units
           ~max_bytes:max_cache_bytes ();
-      srv_prof = Prof.create ();
-      srv_metrics = Metrics.create ();
+      srv_prof = Frontend.Prof.create ();
+      srv_metrics = Frontend.Metrics.create ();
       srv_log = log;
-      srv_t0_ns = Prof.monotonic_ns ();
+      srv_t0_ns = Frontend.Prof.monotonic_ns ();
       srv_inflight = Atomic.make 0;
       srv_rid = Atomic.make 1;
       srv_cid = Atomic.make 1;
@@ -341,10 +323,10 @@ let create ?(jobs = 1) ?(conn_jobs = 0) ?(backlog = 16) ?(max_inflight = 64)
       srv_stop = false;
     }
   in
-  Metrics.install t.srv_metrics;
+  Frontend.Metrics.install t.srv_metrics;
   (* seed the event-driven gauge so a scrape before any traffic still
      exposes the family *)
-  Metrics.set_gauge g_connections 0.0;
+  Frontend.Metrics.set_gauge g_connections 0.0;
   let diags =
     match cache_dir with
     | None -> []
@@ -362,8 +344,8 @@ let create ?(jobs = 1) ?(conn_jobs = 0) ?(backlog = 16) ?(max_inflight = 64)
             List.iter
               (fun (h, body) -> Lru.add t.srv_units h body)
               p.Store.pay_units;
-            t.srv_prof.Prof.c.Prof.snapshot_restores <-
-              t.srv_prof.Prof.c.Prof.snapshot_restores + 1;
+            t.srv_prof.Frontend.Prof.c.Frontend.Prof.snapshot_restores <-
+              t.srv_prof.Frontend.Prof.c.Frontend.Prof.snapshot_restores + 1;
             [])
   in
   log_line t ~level:L_info
@@ -408,10 +390,10 @@ let drain t : Diag.t list =
   log_line t ~level:L_info
     [
       ("event", Json.Str "drain");
-      ("requests_served", Json.Int (counters t).Prof.requests_served);
+      ("requests_served", Json.Int (counters t).Frontend.Prof.requests_served);
     ];
   (match t.srv_log with Some lg -> close_out_noerr lg.lg_oc | None -> ());
-  Metrics.uninstall t.srv_metrics;
+  Frontend.Metrics.uninstall t.srv_metrics;
   ds
 
 (* ------------------------------------------------------------------ *)
@@ -455,24 +437,26 @@ type outcome =
 let reply t ?rid ?(timed = false) ~level ~op ~id (f : string -> outcome) :
     string =
   let rid = match rid with Some r -> r | None -> next_rid t in
-  let t0 = Prof.monotonic_ns () in
-  let faults0 = Fault.armed_fired_count () in
+  let t0 = Frontend.Prof.monotonic_ns () in
+  let faults0 = Frontend.Fault.armed_fired_count () in
   let o = f rid in
   let ok = match o with Failed _ | Overloaded _ -> false | _ -> true in
   let label = op_label op in
   let extra, faulted =
     match o with
     | _ when timed ->
-        let dur_ns = Int64.to_int (Int64.sub (Prof.monotonic_ns ()) t0) in
+        let dur_ns =
+          Int64.to_int (Int64.sub (Frontend.Prof.monotonic_ns ()) t0)
+        in
         let cache, hash =
           match o with
           | Served s ->
               ((if s.cached then "hit" else "miss"), [ ("hash", Json.Str s.hash) ])
           | _ -> ("error", [])
         in
-        if Metrics.on () && label <> "unknown" then
-          Metrics.observe_ns (m_request_hist ~op:label ~cache) dur_ns;
-        let sites = Fault.armed_fired_since faults0 in
+        if Frontend.Metrics.on () && label <> "unknown" then
+          Frontend.Metrics.observe_ns (m_request_hist ~op:label ~cache) dur_ns;
+        let sites = Frontend.Fault.armed_fired_since faults0 in
         ( hash
           @ [
               ("cache", Json.Str cache);
@@ -483,8 +467,9 @@ let reply t ?rid ?(timed = false) ~level ~op ~id (f : string -> outcome) :
     | Overloaded _ -> ([ ("event", Json.Str "conn_shed") ], false)
     | _ -> ([], false)
   in
-  if Metrics.on () then
-    Metrics.incr (m_requests ~op:label ~status:(if ok then "ok" else "error"));
+  if Frontend.Metrics.on () then
+    Frontend.Metrics.incr
+      (m_requests ~op:label ~status:(if ok then "ok" else "error"));
   log_line t
     ~level:(if ok && not faulted then level else max level L_warn)
     ([
@@ -605,7 +590,7 @@ let compute_body ~max_errors ~op ~mode ~growth_budget ~max_rounds ~source
 (* Why a work request failed, as the one Diag its error envelope
    carries. *)
 let diag_of_exn = function
-  | Fault.Injected (site, n) ->
+  | Frontend.Fault.Injected (site, n) ->
       Diag.make Diag.Exec
         (Printf.sprintf "request hit injected fault at %s (arrival %d)" site n)
   | Diag.Error_limit n ->
@@ -614,7 +599,7 @@ let diag_of_exn = function
 
 (* One work request: validate, look the unit up, compute on a miss. *)
 let work t ~op (j : Json.t) : outcome =
-  Fault.point "server.request";
+  Frontend.Fault.point "server.request";
   let mode_s = Json.to_str (Json.member "mode" j) in
   let source = Json.to_str (Json.member "source" j) in
   let annot = Json.to_str (Json.member "annot" j) in
@@ -642,10 +627,10 @@ let work t ~op (j : Json.t) : outcome =
       match Lru.find t.srv_units hash with
       | Some body ->
           Mutex.lock t.srv_m;
-          t.srv_prof.Prof.c.Prof.requests_served <-
-            t.srv_prof.Prof.c.Prof.requests_served + 1;
-          t.srv_prof.Prof.c.Prof.unit_cache_hits <-
-            t.srv_prof.Prof.c.Prof.unit_cache_hits + 1;
+          t.srv_prof.Frontend.Prof.c.Frontend.Prof.requests_served <-
+            t.srv_prof.Frontend.Prof.c.Frontend.Prof.requests_served + 1;
+          t.srv_prof.Frontend.Prof.c.Frontend.Prof.unit_cache_hits <-
+            t.srv_prof.Frontend.Prof.c.Frontend.Prof.unit_cache_hits + 1;
           Mutex.unlock t.srv_m;
           Served { cached = true; hash; body }
       | None ->
@@ -655,9 +640,9 @@ let work t ~op (j : Json.t) : outcome =
              no-ops for the stdio/sequential daemon beyond one
              mutex round-trip. *)
           let (_ : int * int) = Dependence.Memo.sync () in
-          let prof = Prof.create () in
+          let prof = Frontend.Prof.create () in
           let body =
-            Prof.with_profiling prof (fun () ->
+            Frontend.Prof.with_profiling prof (fun () ->
                 reset_gensyms ();
                 compute_body ~max_errors:t.srv_max_errors ~op ~mode
                   ~growth_budget ~max_rounds ~source ~annot)
@@ -666,9 +651,9 @@ let work t ~op (j : Json.t) : outcome =
           let (_ : int * int) = Dependence.Memo.sync () in
           Lru.add t.srv_units hash body;
           Mutex.lock t.srv_m;
-          Prof.absorb t.srv_prof (Prof.snapshot prof);
-          t.srv_prof.Prof.c.Prof.requests_served <-
-            t.srv_prof.Prof.c.Prof.requests_served + 1;
+          Frontend.Prof.absorb t.srv_prof (Frontend.Prof.snapshot prof);
+          t.srv_prof.Frontend.Prof.c.Frontend.Prof.requests_served <-
+            t.srv_prof.Frontend.Prof.c.Frontend.Prof.requests_served + 1;
           Mutex.unlock t.srv_m;
           Served { cached = false; hash; body })
 
@@ -717,21 +702,21 @@ let handle_batch t ~rid (reqs : Json.t list) : string list =
     !events;
   Array.to_list out
 
-let uptime_s t =
-  Int64.to_float (Int64.sub (Prof.monotonic_ns ()) t.srv_t0_ns) /. 1e9
+let uptime_s t = Frontend.Prof.seconds_since t.srv_t0_ns
 
 (* Refresh the sampled gauges just before a scrape. *)
 let refresh_gauges t =
   let cs = cache_stats t in
-  Metrics.set_gauge g_uptime (uptime_s t);
-  Metrics.set_gauge g_inflight (float_of_int (Atomic.get t.srv_inflight));
-  Metrics.set_gauge g_units_cached (float_of_int cs.Lru.units);
-  Metrics.set_gauge g_cache_bytes (float_of_int cs.Lru.bytes)
+  Frontend.Metrics.set_gauge g_uptime (uptime_s t);
+  Frontend.Metrics.set_gauge g_inflight
+    (float_of_int (Atomic.get t.srv_inflight));
+  Frontend.Metrics.set_gauge g_units_cached (float_of_int cs.Lru.units);
+  Frontend.Metrics.set_gauge g_cache_bytes (float_of_int cs.Lru.bytes)
 
 (* Histogram snapshots as a JSON object keyed by family{labels}, for the
    extended [stats] op. *)
-let histograms_json (snap : Metrics.snapshot) : Json.t =
-  match Metrics.to_json snap with
+let histograms_json (snap : Frontend.Metrics.snapshot) : Json.t =
+  match Frontend.Metrics.to_json snap with
   | Json.Obj kvs -> (
       match List.assoc_opt "histograms" kvs with Some h -> h | None -> Json.Obj [])
   | _ -> Json.Obj []
@@ -781,18 +766,19 @@ let handle_request t (j : Json.t) : string =
                   ("inflight", Json.Int ws.Runtime.Pool.inflight);
                   ("workers", Json.Int ws.Runtime.Pool.workers);
                 ] );
-            ("counters", counters_json (counters t));
-            ("histograms", histograms_json (Metrics.snapshot t.srv_metrics));
+            ("counters", Frontend.Prof.counters_json (counters t));
+            ( "histograms",
+              histograms_json (Frontend.Metrics.snapshot t.srv_metrics) );
           ])
   | "metrics" ->
       control L_debug @@ fun _ ->
       Done
         (fun () ->
           refresh_gauges t;
-          let snap = Metrics.snapshot t.srv_metrics in
+          let snap = Frontend.Metrics.snapshot t.srv_metrics in
           [
-            ("exposition", Json.Str (Metrics.to_prometheus snap));
-            ("metrics", Metrics.to_json snap);
+            ("exposition", Json.Str (Frontend.Metrics.to_prometheus snap));
+            ("metrics", Frontend.Metrics.to_json snap);
           ])
   | "snapshot" -> (
       control L_info @@ fun _ ->
@@ -838,9 +824,9 @@ let serve_channels t (ic : in_channel) (oc : out_channel) : unit =
       | line when String.trim line = "" -> loop ()
       | line ->
           let response =
-            match Fault.point "server.accept" with
+            match Frontend.Fault.point "server.accept" with
             | () -> handle_line t line
-            | exception Fault.Injected (site, n) ->
+            | exception Frontend.Fault.Injected (site, n) ->
                 reply t ~level:L_error ~op:"accept" ~id:0 (fun _ ->
                     Failed
                       [
@@ -865,13 +851,13 @@ let serve_channels t (ic : in_channel) (oc : out_channel) : unit =
     never the acceptor or a sibling worker. *)
 let handle_conn t (fd : Unix.file_descr) : unit =
   let cid = next_cid t in
-  Metrics.add_gauge g_connections 1.0;
+  Frontend.Metrics.add_gauge g_connections 1.0;
   let finish outcome =
-    Metrics.add_gauge g_connections (-1.0);
-    Metrics.incr (m_connections ~outcome)
+    Frontend.Metrics.add_gauge g_connections (-1.0);
+    Frontend.Metrics.incr (m_connections ~outcome)
   in
-  match Fault.point "server.conn" with
-  | exception Fault.Injected (site, n) ->
+  match Frontend.Fault.point "server.conn" with
+  | exception Frontend.Fault.Injected (site, n) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       finish "dropped";
       log_line t ~level:L_error
@@ -930,7 +916,7 @@ let shed_conn t (fd : Unix.file_descr) : unit =
      flush oc
    with _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  Metrics.incr (m_connections ~outcome:"shed")
+  Frontend.Metrics.incr (m_connections ~outcome:"shed")
 
 (** Accept loop on a Unix-domain socket at [path] (an existing file
     there is replaced).  Accepted connections are submitted to a
@@ -972,7 +958,7 @@ let serve_socket t ~(path : string) : unit =
               (match Unix.accept sock with
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
               | fd, _ -> (
-                  match Fault.point "server.accept" with
+                  match Frontend.Fault.point "server.accept" with
                   | () -> (
                       match
                         Runtime.Pool.submit conns
@@ -982,9 +968,9 @@ let serve_socket t ~(path : string) : unit =
                       with
                       | Runtime.Pool.Accepted -> ()
                       | Runtime.Pool.Shed -> shed_conn t fd)
-                  | exception Fault.Injected (site, n) ->
+                  | exception Frontend.Fault.Injected (site, n) ->
                       (try Unix.close fd with Unix.Unix_error _ -> ());
-                      Metrics.incr (m_connections ~outcome:"dropped");
+                      Frontend.Metrics.incr (m_connections ~outcome:"dropped");
                       (* nothing is sent: the reply only logs and counts *)
                       ignore
                         (reply t ~level:L_error ~op:"connection" ~id:0

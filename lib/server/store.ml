@@ -77,7 +77,7 @@ let write_atomic path content =
     keeps running (a lost snapshot only costs the next cold start). *)
 let save ~dir ~schema (payload : payload) : (string, Core.Diag.t) result =
   match
-    Core.Fault.point "server.snapshot";
+    Frontend.Fault.point "server.snapshot";
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
     let body = Marshal.to_string payload [] in
     let header =
@@ -106,7 +106,7 @@ let load ~dir ~schema : load_result =
   if not (Sys.file_exists path) then Absent
   else
     match
-      Core.Fault.point "server.snapshot";
+      Frontend.Fault.point "server.snapshot";
       In_channel.with_open_bin path In_channel.input_all
     with
     | exception e -> reject "cannot read %s: %s" path (Printexc.to_string e)

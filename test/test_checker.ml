@@ -330,24 +330,24 @@ let test_validation_failure_degrades_exit () =
 (* ---------------- Prof counters ---------------- *)
 
 let test_oracle_prof_counters () =
-  let prof = Core.Prof.create () in
+  let prof = Frontend.Prof.create () in
   let v =
-    Core.Prof.with_profiling prof (fun () ->
+    Frontend.Prof.with_profiling prof (fun () ->
         validate (mark "I" (parse priv_src)))
   in
-  let c = Core.Prof.snapshot prof in
+  let c = Frontend.Prof.snapshot prof in
   cb "iterations counter matches verdict" true
-    (c.Core.Prof.iterations_traced = v.Checker.Oracle.v_iterations
+    (c.Frontend.Prof.iterations_traced = v.Checker.Oracle.v_iterations
     && v.Checker.Oracle.v_iterations > 0);
   ci "conflict counter"
     (v.Checker.Oracle.v_unexcused + v.Checker.Oracle.v_excused)
-    c.Core.Prof.race_conflicts;
-  ci "excused counter" v.Checker.Oracle.v_excused c.Core.Prof.race_excused;
+    c.Frontend.Prof.race_conflicts;
+  ci "excused counter" v.Checker.Oracle.v_excused c.Frontend.Prof.race_excused;
   (* nothing leaks without an installed profile *)
-  let quiet = Core.Prof.create () in
+  let quiet = Frontend.Prof.create () in
   ignore (validate (mark "I" (parse priv_src)));
   ci "no ticks without profile" 0
-    (Core.Prof.snapshot quiet).Core.Prof.race_conflicts
+    (Frontend.Prof.snapshot quiet).Frontend.Prof.race_conflicts
 
 (* ---------------- zero-cost-when-off tracing ---------------- *)
 

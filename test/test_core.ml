@@ -235,6 +235,23 @@ let test_pipeline_modes_distinct () =
   cb "annotation finds most" true (n ann > n base);
   cb "conventional loses" true (n conv < n base + 3)
 
+let test_mode_names () =
+  List.iter
+    (fun (name, want) ->
+      cb (name ^ " parses") true (Core.Pipeline.mode_of_string name = Ok want))
+    Core.Pipeline.
+      [
+        ("none", No_inlining);
+        ("no-inlining", No_inlining);
+        ("conventional", Conventional);
+        ("annotation", Annotation_based);
+        ("annotation-based", Annotation_based);
+        ("demand", Demand);
+        ("demand-driven", Demand);
+      ];
+  cb "typo rejected" true
+    (Core.Pipeline.mode_of_string "typo" = Error "unknown mode \"typo\"")
+
 let suite =
   [
     ("annot: parse FSMP", `Quick, test_annot_parse);
@@ -251,4 +268,5 @@ let suite =
      test_reverse_extracts_forward_substituted_actual);
     ("reverse: fallback", `Quick, test_reverse_fallback_on_unregistered);
     ("pipeline: mode ordering", `Quick, test_pipeline_modes_distinct);
+    ("mode names parse in one place", `Quick, test_mode_names);
   ]

@@ -11,11 +11,11 @@ let fingerprint (p : Perfect.Driver.point) =
   let c = p.pt_counters in
   ( (p.pt_bench, Core.Pipeline.mode_name p.pt_config),
     (p.pt_par, p.pt_loss, p.pt_extra, p.pt_size, p.pt_crashed),
-    ( c.Core.Prof.dep_tests_run,
-      c.Core.Prof.dep_tests_independent,
-      c.Core.Prof.annot_sites_inlined,
-      c.Core.Prof.reverse_sites_matched,
-      c.Core.Prof.stmts_normalized ) )
+    ( c.Frontend.Prof.dep_tests_run,
+      c.Frontend.Prof.dep_tests_independent,
+      c.Frontend.Prof.annot_sites_inlined,
+      c.Frontend.Prof.reverse_sites_matched,
+      c.Frontend.Prof.stmts_normalized ) )
 
 let fingerprints points = List.sort compare (List.map fingerprint points)
 
@@ -65,12 +65,12 @@ let test_poisoned_bench_is_salvaged () =
 
 (* ---------------- Prof counters ---------------- *)
 
-let counters_tuple (c : Core.Prof.counters) =
-  ( c.Core.Prof.dep_tests_run,
-    c.Core.Prof.dep_tests_independent,
-    c.Core.Prof.annot_sites_inlined,
-    c.Core.Prof.reverse_sites_matched,
-    c.Core.Prof.stmts_normalized )
+let counters_tuple (c : Frontend.Prof.counters) =
+  ( c.Frontend.Prof.dep_tests_run,
+    c.Frontend.Prof.dep_tests_independent,
+    c.Frontend.Prof.annot_sites_inlined,
+    c.Frontend.Prof.reverse_sites_matched,
+    c.Frontend.Prof.stmts_normalized )
 
 let run_mdg ?prof () =
   let b = Perfect.Mdg.bench in
@@ -81,24 +81,24 @@ let run_mdg ?prof () =
        (Perfect.Bench_def.parse b))
 
 let test_prof_counters_zero_when_disabled () =
-  let prof = Core.Prof.create () in
+  let prof = Frontend.Prof.create () in
   (* pipeline runs without the profile installed: nothing may leak in *)
   run_mdg ();
   cb "all counters zero" true
-    (counters_tuple (Core.Prof.snapshot prof) = (0, 0, 0, 0, 0));
-  ci "no pass timings" 0 (List.length (Core.Prof.pass_ms prof));
+    (counters_tuple (Frontend.Prof.snapshot prof) = (0, 0, 0, 0, 0));
+  ci "no pass timings" 0 (List.length (Frontend.Prof.pass_ms prof));
   (* ticks outside any installed profile are inert no-ops *)
-  Core.Prof.tick_dep_test ~independent:true ~cached:false;
-  Core.Prof.tick_annot_site ();
-  Core.Prof.tick_reverse_match ();
-  Core.Prof.add_stmts_normalized 7;
+  Frontend.Prof.tick_dep_test ~independent:true ~cached:false;
+  Frontend.Prof.tick_annot_site ();
+  Frontend.Prof.tick_reverse_match ();
+  Frontend.Prof.add_stmts_normalized 7;
   cb "still zero" true
-    (counters_tuple (Core.Prof.snapshot prof) = (0, 0, 0, 0, 0))
+    (counters_tuple (Frontend.Prof.snapshot prof) = (0, 0, 0, 0, 0))
 
 let test_prof_counters_monotone () =
-  let prof = Core.Prof.create () in
+  let prof = Frontend.Prof.create () in
   run_mdg ~prof ();
-  let (r1, i1, a1, m1, s1) = counters_tuple (Core.Prof.snapshot prof) in
+  let (r1, i1, a1, m1, s1) = counters_tuple (Frontend.Prof.snapshot prof) in
   cb "dep tests ran" true (r1 > 0);
   cb "independence decided" true (i1 > 0 && i1 <= r1);
   cb "annotation sites inlined" true (a1 > 0);
@@ -108,20 +108,20 @@ let test_prof_counters_monotone () =
   cb "statements normalized" true (s1 > 0);
   (* a second profiled run only accumulates: counters are monotone *)
   run_mdg ~prof ();
-  let (r2, i2, a2, m2, s2) = counters_tuple (Core.Prof.snapshot prof) in
+  let (r2, i2, a2, m2, s2) = counters_tuple (Frontend.Prof.snapshot prof) in
   cb "monotone" true (r2 > r1 && i2 >= i1 && a2 > a1 && m2 >= m1 && s2 > s1)
 
 let test_prof_pass_timings () =
-  let prof = Core.Prof.create () in
+  let prof = Frontend.Prof.create () in
   run_mdg ~prof ();
-  let passes = Core.Prof.pass_ms prof in
+  let passes = Frontend.Prof.pass_ms prof in
   List.iter
     (fun key ->
       cb (key ^ " pass recorded") true (List.mem_assoc key passes);
       cb (key ^ " non-negative") true (List.assoc key passes >= 0.0))
     [ "inline"; "normalize"; "parallelize"; "reverse" ];
   cb "total covers the passes" true
-    (Core.Prof.total_ms prof
+    (Frontend.Prof.total_ms prof
     >= List.fold_left (fun a (_, ms) -> a +. ms) 0.0 passes -. 1e-9)
 
 (* ---------------- JSON output ---------------- *)
@@ -156,6 +156,40 @@ let test_json_schema () =
       "requests_served"; "unit_cache_hits"; "snapshot_restores";
     ]
 
+(* The document's values, not only its keys: parse it back and hold
+   every point's fields against the record it was printed from. *)
+let test_json_round_trip () =
+  let points =
+    Perfect.Driver.run_suite ~jobs:1 ~benches:[ Perfect.Mdg.bench ] ()
+  in
+  let doc =
+    match Frontend.Json.parse (Perfect.Driver.to_json points) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail ("bench JSON does not parse: " ^ e)
+  in
+  let member = Frontend.Json.member and to_int = Frontend.Json.to_int in
+  ci "schema_version" 9 (to_int (member "schema_version" doc));
+  let read = Frontend.Json.to_list (member "points" doc) in
+  ci "one object per point" (List.length points) (List.length read);
+  List.iter2
+    (fun (p : Perfect.Driver.point) j ->
+      let name = Core.Pipeline.mode_name p.pt_config in
+      let field key want = ci (name ^ " " ^ key) want (to_int (member key j)) in
+      field "par_loops" p.pt_par;
+      field "loss" p.pt_loss;
+      field "extra" p.pt_extra;
+      field "code_size" p.pt_size;
+      cb (name ^ " counters") true
+        (member "counters" j = Frontend.Prof.counters_json p.pt_counters);
+      cb (name ^ " planner on demand only") true
+        ((member "planner" j <> Frontend.Json.Null)
+        = (p.pt_config = Core.Pipeline.Demand));
+      let v = member "verdicts" j in
+      ci (name ^ " verdicts parallel + serial")
+        (List.length p.pt_verdicts)
+        (to_int (member "parallel" v) + to_int (member "serial" v)))
+    points read
+
 let suite =
   [
     Alcotest.test_case "parallel driver = sequential driver" `Slow
@@ -169,4 +203,6 @@ let suite =
     Alcotest.test_case "prof pass timings recorded" `Quick
       test_prof_pass_timings;
     Alcotest.test_case "bench JSON schema" `Slow test_json_schema;
+    Alcotest.test_case "bench JSON values round-trip" `Slow
+      test_json_round_trip;
   ]

@@ -5,7 +5,7 @@
     round-trip, and fault injections surfacing as registry counters. *)
 
 module Json = Frontend.Json
-module Metrics = Core.Metrics
+module Metrics = Frontend.Metrics
 module Serve = Server.Serve
 
 let cb = Alcotest.(check bool)
@@ -233,10 +233,10 @@ let test_log_fault_degrades () =
   let log = Filename.temp_file "parinline-log-fault" ".ndjson" in
   Fun.protect ~finally:(fun () -> try Sys.remove log with Sys_error _ -> ())
   @@ fun () ->
-  (match Core.Fault.parse_spec "7:server.log=2" with
+  (match Frontend.Fault.parse_spec "7:server.log=2" with
   | Error e -> Alcotest.failf "spec rejected: %s" e
   | Ok plan ->
-      Core.Fault.with_plan plan (fun () ->
+      Frontend.Fault.with_plan plan (fun () ->
           (* arrival 1 is the start event; arrival 2 — the first
              analyze's log line — trips the fault *)
           let t, _ = Serve.create ~log_file:log () in
@@ -277,8 +277,8 @@ let test_log_fault_degrades () =
 
 let test_faults_visible_in_registry () =
   with_registry @@ fun r ->
-  Core.Prof.tick_fault_injected ();
-  Core.Prof.tick_fault_injected ();
+  Frontend.Prof.tick_fault_injected ();
+  Frontend.Prof.tick_fault_injected ();
   let n = counter_of "parinline_faults_injected_total" (Metrics.snapshot r) in
   ci "two injections counted" 2 n;
   (* and the exposition renders them as a counter family *)

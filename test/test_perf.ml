@@ -153,9 +153,9 @@ let test_intern_idempotent () =
 (* ---------------- counter partition ---------------- *)
 
 let profiled_counters f =
-  let prof = Core.Prof.create () in
+  let prof = Frontend.Prof.create () in
   f prof;
-  Core.Prof.snapshot prof
+  Frontend.Prof.snapshot prof
 
 let run_annot ?prof (b : Perfect.Bench_def.t) =
   ignore
@@ -165,10 +165,10 @@ let run_annot ?prof (b : Perfect.Bench_def.t) =
 
 let test_counters_partition () =
   let c = profiled_counters (fun prof -> run_annot ~prof Perfect.Mdg.bench) in
-  cb "dep tests ran" true (c.Core.Prof.dep_tests_run > 0);
-  ci "hits + misses = run" c.Core.Prof.dep_tests_run
-    (c.Core.Prof.dep_cache_hits + c.Core.Prof.dep_cache_misses);
-  cb "the cache fires on MDG" true (c.Core.Prof.dep_cache_hits > 0)
+  cb "dep tests ran" true (c.Frontend.Prof.dep_tests_run > 0);
+  ci "hits + misses = run" c.Frontend.Prof.dep_tests_run
+    (c.Frontend.Prof.dep_cache_hits + c.Frontend.Prof.dep_cache_misses);
+  cb "the cache fires on MDG" true (c.Frontend.Prof.dep_cache_hits > 0)
 
 let test_counters_cache_disabled () =
   let c =
@@ -176,10 +176,10 @@ let test_counters_cache_disabled () =
         Dependence.Memo.with_cache false (fun () ->
             run_annot ~prof Perfect.Mdg.bench))
   in
-  cb "dep tests ran" true (c.Core.Prof.dep_tests_run > 0);
-  ci "no hits when disabled" 0 c.Core.Prof.dep_cache_hits;
-  ci "every test is a miss when disabled" c.Core.Prof.dep_tests_run
-    c.Core.Prof.dep_cache_misses
+  cb "dep tests ran" true (c.Frontend.Prof.dep_tests_run > 0);
+  ci "no hits when disabled" 0 c.Frontend.Prof.dep_cache_hits;
+  ci "every test is a miss when disabled" c.Frontend.Prof.dep_tests_run
+    c.Frontend.Prof.dep_cache_misses
 
 (* the memoized run decides exactly the same independence facts as the
    cold run -- only cheaper *)
@@ -190,12 +190,12 @@ let test_counters_same_outcomes () =
         Dependence.Memo.with_cache false (fun () ->
             run_annot ~prof Perfect.Mdg.bench))
   in
-  ci "same dep_tests_run" cold.Core.Prof.dep_tests_run
-    hot.Core.Prof.dep_tests_run;
-  ci "same dep_tests_independent" cold.Core.Prof.dep_tests_independent
-    hot.Core.Prof.dep_tests_independent;
+  ci "same dep_tests_run" cold.Frontend.Prof.dep_tests_run
+    hot.Frontend.Prof.dep_tests_run;
+  ci "same dep_tests_independent" cold.Frontend.Prof.dep_tests_independent
+    hot.Frontend.Prof.dep_tests_independent;
   cb "hot run recomputes strictly less" true
-    (hot.Core.Prof.dep_cache_misses < cold.Core.Prof.dep_cache_misses)
+    (hot.Frontend.Prof.dep_cache_misses < cold.Frontend.Prof.dep_cache_misses)
 
 (* ---------------- pool: exactly-once under failure ---------------- *)
 

@@ -149,14 +149,14 @@ let test_unit_cache_hit () =
     (Json.to_string (result r1))
     (Json.to_string (result r2));
   let c = Serve.counters t in
-  ci "two served" 2 c.Core.Prof.requests_served;
-  ci "one hit" 1 c.Core.Prof.unit_cache_hits;
+  ci "two served" 2 c.Frontend.Prof.requests_served;
+  ci "one hit" 1 c.Frontend.Prof.unit_cache_hits;
   (* a different mode is a different content hash *)
   let r3 = analyze ~mode:"none" t src in
   cb "mode is part of the key" false (cached r3);
   (* control ops never count as unit work *)
   ignore (send t (Serve.request ~op:"stats" ()));
-  ci "stats not counted" 3 (Serve.counters t).Core.Prof.requests_served
+  ci "stats not counted" 3 (Serve.counters t).Frontend.Prof.requests_served
 
 let test_batch_order_and_ids () =
   with_server @@ fun t _ ->
@@ -200,13 +200,13 @@ let test_snapshot_roundtrip () =
      with zero dependence tests *)
   with_server ~cache_dir:dir @@ fun t diags ->
   ci "clean restore" 0 (List.length diags);
-  ci "restore counted" 1 (Serve.counters t).Core.Prof.snapshot_restores;
+  ci "restore counted" 1 (Serve.counters t).Frontend.Prof.snapshot_restores;
   let r = analyze t src in
   cb "restored unit cache answers" true (cached r);
   cs "byte-identical across restart" warm_body (Json.to_string (result r));
   let c = Serve.counters t in
-  ci "no dependence tests computed" 0 c.Core.Prof.dep_cache_misses;
-  ci "no dependence tests at all" 0 c.Core.Prof.dep_tests_run
+  ci "no dependence tests computed" 0 c.Frontend.Prof.dep_cache_misses;
+  ci "no dependence tests at all" 0 c.Frontend.Prof.dep_tests_run
 
 let clobber path ~f =
   let contents = In_channel.with_open_bin path In_channel.input_all in
@@ -229,7 +229,7 @@ let test_snapshot_rejection () =
      (match diags with
      | [ d ] -> d.Core.Diag.d_severity = Core.Diag.Warning
      | _ -> false);
-   ci "no restore" 0 (Serve.counters t).Core.Prof.snapshot_restores;
+   ci "no restore" 0 (Serve.counters t).Frontend.Prof.snapshot_restores;
    (* clean cold start: the daemon still works *)
    let r = analyze t src in
    cb "cold start computes" true (ok r && not (cached r)));
@@ -246,7 +246,7 @@ let test_snapshot_rejection () =
   with_server ~cache_dir:dir @@ fun t diags ->
   ci "mismatch warned" 1 (List.length diags);
   ci "no restore from wrong schema" 0
-    (Serve.counters t).Core.Prof.snapshot_restores;
+    (Serve.counters t).Frontend.Prof.snapshot_restores;
   cb "daemon cold-starts fine" true (ok (analyze t src))
 
 let test_store_absent_is_silent () =
@@ -278,10 +278,10 @@ let test_memo_export_import () =
 (* ---------------- chaos barrier ---------------- *)
 
 let test_request_fault_degrades () =
-  match Core.Fault.parse_spec "42:server.request=1" with
+  match Frontend.Fault.parse_spec "42:server.request=1" with
   | Error e -> Alcotest.failf "spec rejected: %s" e
   | Ok plan ->
-      Core.Fault.with_plan plan (fun () ->
+      Frontend.Fault.with_plan plan (fun () ->
           with_server @@ fun t _ ->
           let r1 = analyze t src in
           cb "first request poisoned" false (ok r1);
@@ -438,9 +438,9 @@ let test_workers_error_containment_and_sync_mode () =
 
 (* Arrival 1 at the worker fault site kills the only worker's loop. *)
 let with_first_worker_killed f =
-  match Core.Fault.parse_spec "3:runtime.pool.worker=1" with
+  match Frontend.Fault.parse_spec "3:runtime.pool.worker=1" with
   | Error e -> Alcotest.failf "spec rejected: %s" e
-  | Ok plan -> Core.Fault.with_plan plan f
+  | Ok plan -> Frontend.Fault.with_plan plan f
 
 let test_workers_death_respawn () =
   with_first_worker_killed @@ fun () ->
@@ -553,9 +553,9 @@ let test_concurrent_clients_byte_identical () =
   (* the shared counters sum exactly: no lost or double-counted hits *)
   let c1 = Serve.counters t in
   ci "exactly 16 more served" 16
-    (c1.Core.Prof.requests_served - c0.Core.Prof.requests_served);
+    (c1.Frontend.Prof.requests_served - c0.Frontend.Prof.requests_served);
   ci "all 16 were unit-cache hits" 16
-    (c1.Core.Prof.unit_cache_hits - c0.Core.Prof.unit_cache_hits)
+    (c1.Frontend.Prof.unit_cache_hits - c0.Frontend.Prof.unit_cache_hits)
 
 let test_concurrent_miss_race () =
   with_server @@ fun t _ ->
@@ -579,9 +579,10 @@ let test_concurrent_miss_race () =
         (Json.to_string (result r))
   | _ -> Alcotest.fail "expected 2 results");
   let c = Serve.counters t in
-  ci "three requests served" 3 c.Core.Prof.requests_served;
+  ci "three requests served" 3 c.Frontend.Prof.requests_served;
   cb "at most one racer hit, the final request always did" true
-    (c.Core.Prof.unit_cache_hits >= 1 && c.Core.Prof.unit_cache_hits <= 2)
+    (c.Frontend.Prof.unit_cache_hits >= 1
+    && c.Frontend.Prof.unit_cache_hits <= 2)
 
 (* ---------------- the memo hub ---------------- *)
 
@@ -619,10 +620,10 @@ let test_memo_hub_sync () =
 (* ---------------- connection chaos and the live socket ---------------- *)
 
 let test_conn_fault_drops_one_connection () =
-  match Core.Fault.parse_spec "9:server.conn=1" with
+  match Frontend.Fault.parse_spec "9:server.conn=1" with
   | Error e -> Alcotest.failf "spec rejected: %s" e
   | Ok plan ->
-      Core.Fault.with_plan plan @@ fun () ->
+      Frontend.Fault.with_plan plan @@ fun () ->
       with_server @@ fun t _ ->
       (* connection 1: the fault trips pre-protocol — the peer sees a
          bare EOF, no bytes, and only this connection dies *)
@@ -692,7 +693,7 @@ let test_serve_socket_concurrent_clients () =
   Domain.join server;
   cb "socket file removed on the way out" false (Sys.file_exists path);
   ci "all five work requests served" 5
-    (Serve.counters t).Core.Prof.requests_served
+    (Serve.counters t).Frontend.Prof.requests_served
 
 (* ---------------- one error budget in every mode ---------------- *)
 
