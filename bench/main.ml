@@ -915,12 +915,12 @@ let cmd_compare old_path new_path =
    by an older (or newer) schema still gates everything both versions
    agree on.  The skipped key names are reported once at the end.
 
-   The v6 addition: the demand configuration's planner probes replay
-   the earlier configurations' dependence questions through the same
-   domain-local memo cache, so suite-wide its cache-hit ratio must not
-   fall below annotation's.  The gate runs single-job (one domain,
-   configurations in order), which is what makes the comparison
-   meaningful. *)
+   Suite-wide, the demand configuration must compute no more
+   dependence tests than the baseline did: its planner probes re-ask
+   questions the memo (or the plan's unit table) already answered, so
+   the sum of its dep_cache_misses must not exceed the baseline's sum.
+   The gate runs single-job (one domain, configurations in order),
+   which is what makes the comparison meaningful. *)
 let cmd_check_counters new_path baseline_path =
   let doc = read_bench_json new_path in
   let base = read_bench_json baseline_path in
@@ -972,35 +972,23 @@ let cmd_check_counters new_path baseline_path =
               else if n.rd_dep_cache_misses < b.rd_dep_cache_misses then
                 incr improvements))
     base.rd_points;
-  (* demand-vs-annotation cache-hit-ratio gate, over the NEW doc's
-     suite totals.  Per bench the comparison is unfair — a benchmark
-     whose annotation config instantiates nothing replays the earlier
-     configs' questions perfectly (ratio 1.0) while demand legitimately
-     pays misses for its conventional-site probes — but aggregated the
-     planner's probes overwhelmingly replay memoized questions, so the
-     suite-wide demand ratio must stay at or above annotation's.
-     Undefined ratios (zero dep tests, missing config, keys absent from
-     this schema) skip the gate. *)
-  let totals cfg =
+  (* demand's suite-wide computed dependence tests, NEW vs BASELINE; a
+     side whose demand points lack the key skips the gate *)
+  let demand_misses (points : Perfect.Driver.read_point list) =
     List.fold_left
-      (fun (h, r) (p : Perfect.Driver.read_point) ->
-        if
-          String.equal p.rd_config cfg
-          && have p "dep_cache_hits" && have p "dep_tests_run"
-        then (h + p.rd_dep_cache_hits, r + p.rd_dep_tests_run)
-        else (h, r))
-      (0, 0) doc.rd_points
+      (fun acc (p : Perfect.Driver.read_point) ->
+        if String.equal p.rd_config "demand" && have p "dep_cache_misses" then
+          Some (Option.value ~default:0 acc + p.rd_dep_cache_misses)
+        else acc)
+      None points
   in
-  (match (totals "demand", totals "annotation-based") with
-  | (dh, dr), (ah, ar) when dr > 0 && ar > 0 ->
-      let rd = float_of_int dh /. float_of_int dr in
-      let ra = float_of_int ah /. float_of_int ar in
-      if rd +. 1e-9 < ra then
-        complain
-          "check-counters: suite demand dep-cache hit ratio %.4f below \
-           annotation's %.4f (planner re-analysis should replay memoized \
-           dependence questions)\n"
-          rd ra
+  (match (demand_misses doc.rd_points, demand_misses base.rd_points) with
+  | Some n, Some b when n > b ->
+      complain
+        "check-counters: suite demand dep_cache_misses %d above the \
+         baseline's %d (planner probes should recompute no more dependence \
+         tests than before)\n"
+        n b
   | _ -> ());
   if !skipped <> [] then
     Printf.eprintf

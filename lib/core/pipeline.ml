@@ -49,10 +49,11 @@ type result = {
       (** oracle verdict when {!run_robust} ran with [~validate:true] *)
 }
 
+let unit_stmt_count (u : Ast.program_unit) =
+  Ast.fold_stmts (fun n _ -> n + 1) 0 u.Ast.u_body
+
 let stmt_count (p : Ast.program) =
-  List.fold_left
-    (fun n u -> Ast.fold_stmts (fun n _ -> n + 1) n u.Ast.u_body)
-    0 p.Ast.p_units
+  List.fold_left (fun n u -> n + unit_stmt_count u) 0 p.Ast.p_units
 
 (* One pipeline phase: wall time lands in the [name] pass bucket and,
    when a span sink is armed, the phase emits a begin/end span pair.
@@ -195,40 +196,52 @@ let reraise e = Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
 let bt_string () =
   Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
 
-(* Run [f] on [u]; on an unexpected exception keep the pre-pass unit and
-   record a warning attributed to [pass].  [Error_limit] is the
-   collector's own control flow and must not be swallowed. *)
+(* Run [f] on [u]; [None] on an unexpected exception, after recording a
+   warning attributed to [pass].  [Error_limit] is the collector's own
+   control flow and must not be swallowed. *)
 let guard_unit dg ~code ~pass (u : Ast.program_unit)
-    (f : Ast.program_unit -> Ast.program_unit) : Ast.program_unit =
-  try f u with
+    (f : Ast.program_unit -> Ast.program_unit) : Ast.program_unit option =
+  try Some (f u) with
   | (Diag.Error_limit _ | Diag.Fatal _) as e -> reraise e
   | e ->
       let backtrace = bt_string () in
       Diag.warn dg ~unit_:u.Ast.u_name ~backtrace code
         "%s crashed on unit %s (%s); pass skipped for this unit" pass
         u.Ast.u_name (Printexc.to_string e);
-      u
+      None
 
-(* Same normalization sequence as {!normalize}, but each pass is guarded
-   per unit: a crashing pass restores the pre-pass body of that unit and
-   moves on. *)
-let normalize_robust dg (p : Ast.program) : Ast.program =
-  if Prof.enabled () then Prof.add_stmts_normalized (stmt_count p);
-  phase "normalize" @@ fun () ->
-  let passes =
+(* Same normalization sequence as {!normalize}, each pass guarded: a
+   crashing pass restores the pre-pass body and moves on.  The flag is
+   [false] when some pass crashed. *)
+let normalize_unit dg (u : Ast.program_unit) : Ast.program_unit * bool =
+  List.fold_left
+    (fun (u, clean) (pass, f) ->
+      match guard_unit dg ~code:Diag.Normalize ~pass u f with
+      | Some u' -> (u', clean)
+      | None -> (u, false))
+    (u, true)
     [
       ("constant propagation", Analysis.Constprop.run_unit);
       ("induction substitution", Analysis.Induction.run_unit);
       ("forward substitution", Analysis.Forward_subst.run_unit);
       ("constant propagation", Analysis.Constprop.run_unit);
     ]
-  in
-  let norm_unit u =
-    List.fold_left
-      (fun u (pass, f) -> guard_unit dg ~code:Diag.Normalize ~pass u f)
-      u passes
-  in
-  { Ast.p_units = List.map norm_unit p.Ast.p_units }
+
+(* One unit as an earlier analysis of the same plan left it: the
+   pre-normalization source it was keyed on, its normalized body, and
+   its parallelized body and loop reports under purity set [ue_pure]. *)
+type unit_entry = {
+  ue_source : Ast.program_unit;
+  ue_normalized : Ast.program_unit;
+  ue_pure : Parallelizer.Parallelize.S.t;
+  ue_parallel :
+    Ast.program_unit * Parallelizer.Parallelize.loop_report list;
+}
+
+(* Entries by unit name; a name may carry several sources. *)
+type unit_table = (string, unit_entry) Hashtbl.t
+
+let unit_table () : unit_table = Hashtbl.create 16
 
 (** Fault-tolerant variant of {!run}.  Degradation ladder:
     annotation-based inlining falls back per call site (see
@@ -238,14 +251,17 @@ let normalize_robust dg (p : Ast.program) : Ast.program =
     parallelizer leaves the unit serial; a reverse-inline failure keeps
     the inlined regions.  Everything salvaged is recorded in
     [res_diags].  Pass [dg] to accumulate into an existing collector
-    (e.g. one already holding parse diagnostics). *)
+    (e.g. one already holding parse diagnostics).  With [units], a unit
+    already analyzed through that table reuses its normalized and
+    parallelized body and its reports, and every cleanly analyzed unit
+    is added to it. *)
 let run_robust ?prof ?(par_config = Parallelizer.Parallelize.default_config)
     ?(inline_config = Inliner.Inline.default_config)
     ?(annot_config = Annot_inline.default_config)
     ?(annots : Annot_ast.annotation list = [])
     ?(dg = Diag.collector ()) ?(validate = false)
-    ?(validate_threads = Checker.Oracle.default_threads) ~(mode : mode)
-    (program : Ast.program) : result =
+    ?(validate_threads = Checker.Oracle.default_threads) ?units
+    ~(mode : mode) (program : Ast.program) : result =
   Prof.with_opt prof @@ fun () ->
   let original_loops = original_loop_ids program in
   let conventional p =
@@ -291,14 +307,40 @@ let run_robust ?prof ?(par_config = Parallelizer.Parallelize.default_config)
             let p, st = conventional program in
             (p, st, None))
   in
-  let program = normalize_robust dg program in
+  (* Each unit with its table entries (structurally equal source, sids
+     and loop ids included), normalized body, and whether normalization
+     ran clean.  A unit already in the table is not normalized again. *)
+  let units_in =
+    phase "normalize" @@ fun () ->
+    List.map
+      (fun u ->
+        let known =
+          match units with
+          | None -> []
+          | Some t ->
+              List.filter
+                (fun e -> compare e.ue_source u = 0)
+                (Hashtbl.find_all t u.Ast.u_name)
+        in
+        match known with
+        | e :: _ -> (u, known, e.ue_normalized, true)
+        | [] ->
+            if Prof.enabled () then
+              Prof.add_stmts_normalized (unit_stmt_count u);
+            let nu, clean = normalize_unit dg u in
+            (u, known, nu, clean))
+      program.Ast.p_units
+  in
   let program, reports =
     phase "parallelize" @@ fun () ->
     let pure =
       if not par_config.Parallelizer.Parallelize.allow_pure_functions then
         Parallelizer.Parallelize.S.empty
       else
-        try Parallelizer.Purity.pure_functions program with
+        let normalized =
+          { Ast.p_units = List.map (fun (_, _, nu, _) -> nu) units_in }
+        in
+        try Parallelizer.Purity.pure_functions normalized with
         | (Diag.Error_limit _ | Diag.Fatal _) as e -> reraise e
         | e ->
             let backtrace = bt_string () in
@@ -307,22 +349,42 @@ let run_robust ?prof ?(par_config = Parallelizer.Parallelize.default_config)
               (Printexc.to_string e);
             Parallelizer.Parallelize.S.empty
     in
-    let units, reports =
+    let us, rs =
       List.fold_left
-        (fun (us, rs) u ->
-          match Parallelizer.Parallelize.run_unit ~config:par_config ~pure u
+        (fun (us, rs) (src, known, u, clean) ->
+          match
+            List.find_opt
+              (fun e -> Parallelizer.Parallelize.S.equal e.ue_pure pure)
+              known
           with
-          | u', r -> (u' :: us, rs @ r)
-          | exception ((Diag.Error_limit _ | Diag.Fatal _) as e) -> reraise e
-          | exception e ->
-              let backtrace = bt_string () in
-              Diag.warn dg ~unit_:u.Ast.u_name ~backtrace Diag.Parallel
-                "parallelizer crashed on unit %s (%s); unit left serial"
-                u.Ast.u_name (Printexc.to_string e);
-              (u :: us, rs))
-        ([], []) program.Ast.p_units
+          | Some { ue_parallel = u', r; _ } -> (u' :: us, r :: rs)
+          | None -> (
+              match Parallelizer.Parallelize.run_unit ~config:par_config ~pure u
+              with
+              | (u', r) as parallel ->
+                  (* a salvaged unit is never stored *)
+                  (match units with
+                  | Some t when clean ->
+                      Hashtbl.add t src.Ast.u_name
+                        {
+                          ue_source = src;
+                          ue_normalized = u;
+                          ue_pure = pure;
+                          ue_parallel = parallel;
+                        }
+                  | _ -> ());
+                  (u' :: us, r :: rs)
+              | exception ((Diag.Error_limit _ | Diag.Fatal _) as e) ->
+                  reraise e
+              | exception e ->
+                  let backtrace = bt_string () in
+                  Diag.warn dg ~unit_:u.Ast.u_name ~backtrace Diag.Parallel
+                    "parallelizer crashed on unit %s (%s); unit left serial"
+                    u.Ast.u_name (Printexc.to_string e);
+                  (u :: us, rs)))
+        ([], []) units_in
     in
-    ({ Ast.p_units = List.rev units }, reports)
+    ({ Ast.p_units = List.rev us }, List.concat (List.rev rs))
   in
   let program, reverse_stats =
     phase "reverse" @@ fun () ->

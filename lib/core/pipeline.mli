@@ -72,6 +72,18 @@ val run :
   Ast.program ->
   result
 
+(** Units analyzed by earlier {!run_robust} calls that shared the table.
+    An entry is keyed on the unit's pre-normalization AST (structural
+    equality, statement and loop ids included) plus the purity set its
+    parallelization saw, and holds the normalized body, the parallelized
+    body and the loop reports.  A unit whose normalization or
+    parallelization emitted a diagnostic or raised is never stored.  A
+    table serves one [par_config]; the demand planner makes one per
+    {!Planner.run}. *)
+type unit_table
+
+val unit_table : unit -> unit_table
+
 (** Fault-tolerant variant of {!run}: every pass runs behind a per-unit
     fault barrier, degrading locally instead of killing the run.  The
     degradation ladder is annotation-based inlining (per call site) →
@@ -86,7 +98,11 @@ val run :
     the validation oracle (serial traced replay for clause-aware race
     detection, then a differential parallel run at [validate_threads]
     domains); the verdict lands in [res_validation] and its diagnostics
-    join [res_diags]. *)
+    join [res_diags].
+
+    With [units], a unit the table already holds skips normalization and
+    parallelization, and their fault points, and takes the stored body
+    and reports; each unit analyzed clean is added to the table. *)
 val run_robust :
   ?prof:Prof.t ->
   ?par_config:Parallelizer.Parallelize.config ->
@@ -96,6 +112,7 @@ val run_robust :
   ?dg:Diag.collector ->
   ?validate:bool ->
   ?validate_threads:int ->
+  ?units:unit_table ->
   mode:mode ->
   Ast.program ->
   result

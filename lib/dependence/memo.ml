@@ -69,8 +69,10 @@ let rec add_idents acc (e : Ast.expr) =
    the explicitly [named] identifiers (loop index variables). *)
 let type_sig (u : Ast.program_unit) ~(named : string list)
     (exprs : Ast.expr list) : (string * Ast.dtype) list =
-  let names = List.fold_left add_idents named exprs in
-  List.sort_uniq compare (List.map (fun n -> (n, Ast.type_of_var u n)) names)
+  let names =
+    List.sort_uniq String.compare (List.fold_left add_idents named exprs)
+  in
+  List.map (fun n -> (n, Ast.type_of_var u n)) names
 
 (* One aref as the tester sees it: subscripts + inner-loop context +
    the type signature that fixes how they simplify. *)

@@ -192,25 +192,28 @@ let program_to_string (p : program) =
   List.iter (emit_unit buf) p.p_units;
   Buffer.contents buf
 
-let stmt_to_string s =
-  let buf = Buffer.create 256 in
-  emit_stmt buf 0 s;
-  Buffer.contents buf
+(* Lines [emit_stmt] writes for one statement, comment lines ([!$OMP]
+   directives, [!*annot*] tags) left out. *)
+let rec stmt_lines s =
+  match s.node with
+  | Assign _ | Call _ | Return | Stop _ | Print _ | Continue -> 1
+  | If (_, [ { node = Assign _ | Call _ | Return | Stop _ | Print _; _ } ], [])
+  | If (_, [ { node = Continue; _ } ], []) ->
+      1
+  | If (_, t, []) -> 2 + stmts_lines t
+  | If (_, t, e) -> 3 + stmts_lines t + stmts_lines e
+  | Do_loop l -> 2 + stmts_lines l.body
+  | Tagged (_, body) -> stmts_lines body
 
-(** Number of non-comment source lines -- the paper's code-size metric. *)
+and stmts_lines stmts = List.fold_left (fun n s -> n + stmt_lines s) 0 stmts
+
+(** Number of non-comment source lines -- the paper's code-size metric:
+    the non-blank lines of {!program_to_string} that are not comments,
+    counted from the AST without rendering.  Per unit: the header, one
+    line per declaration, COMMON block and PARAMETER, the body, [END]. *)
 let code_size (p : program) =
-  let src = program_to_string p in
-  List.length
-    (List.filter
-       (fun l ->
-         let t = String.trim l in
-         t <> "" && not (String.length t >= 1 && t.[0] = '!'))
-       (String.split_on_char '\n' src))
-
-(** Code size including directive lines (for reporting both). *)
-let total_lines (p : program) =
-  let src = program_to_string p in
-  List.length
-    (List.filter
-       (fun l -> String.trim l <> "")
-       (String.split_on_char '\n' src))
+  List.fold_left
+    (fun n u ->
+      n + 2 + List.length u.u_decls + List.length u.u_commons
+      + List.length u.u_params_const + stmts_lines u.u_body)
+    0 p.p_units

@@ -36,7 +36,8 @@ type counters = {
   mutable reverse_sites_matched : int;
       (** tagged regions pattern-matched back into CALLs *)
   mutable stmts_normalized : int;
-      (** statements swept by the normalization passes *)
+      (** statements swept by the normalization passes (units reused
+          from a plan's unit table are not swept) *)
   mutable iterations_traced : int;
       (** directive-loop iterations replayed under the access tracer *)
   mutable race_conflicts : int;

@@ -48,21 +48,33 @@ type loop_report = {
 
 (* ------------------------------------------------------------------ *)
 
-let body_sids stmts =
-  Ast.fold_stmts (fun acc s -> s.Ast.sid :: acc) [] stmts
+(* Liveness after a loop, indexed once per unit: a name is live outside
+   loop [l] when it is a COMMON member or a dummy argument, or when the
+   unit body accesses it in a statement that is not in [l]'s body. *)
+type live_index = {
+  li_global : S.t;  (** COMMON members and dummy arguments *)
+  li_sids : (string, int) Hashtbl.t;
+      (** name -> sid of each statement accessing it (one binding per
+          access, [Hashtbl.find_all] order) *)
+}
 
-let live_outside u (l : Ast.do_loop) name =
-  let common_members = List.concat_map snd u.Ast.u_commons in
-  List.mem name common_members
-  || List.mem name u.Ast.u_params
-  ||
-  let inside = List.sort_uniq compare (body_sids l.body) in
-  let all = Usedef.accesses_of_stmts u.Ast.u_body in
-  List.exists
-    (fun (a : Usedef.access) ->
-      String.equal a.acc_name name
-      && not (List.mem a.acc_sid inside))
-    all
+let live_index (u : Ast.program_unit) =
+  let sids = Hashtbl.create 64 in
+  List.iter
+    (fun (a : Usedef.access) -> Hashtbl.add sids a.acc_name a.acc_sid)
+    (Usedef.accesses_of_stmts u.Ast.u_body);
+  {
+    li_global =
+      S.of_list (List.concat_map snd u.Ast.u_commons @ u.Ast.u_params);
+    li_sids = sids;
+  }
+
+(* [inside] holds the sids of the loop body (see [analyze_loop]). *)
+let live_outside idx inside name =
+  S.mem name idx.li_global
+  || List.exists
+       (fun sid -> not (Hashtbl.mem (Lazy.force inside) sid))
+       (Hashtbl.find_all idx.li_sids name)
 
 (* All loops inside a body (for the positivity context). *)
 let inner_loops body =
@@ -91,7 +103,7 @@ let render_ref (a : Access.t) =
     multi-cause loop reports all its causes, in the same detection order
     the first-bail analysis used (so the head of the list is exactly the
     blocker the old code reported). *)
-let analyze_loop ?(pure = S.empty) cfg (u : Ast.program_unit)
+let analyze_loop ?(pure = S.empty) cfg (u : Ast.program_unit) live
     (outer : Ast.do_loop list) (l : Ast.do_loop) :
     (decision, Verdict.blocker list) result =
   Fault.point "parallelizer.loop";
@@ -117,8 +129,13 @@ let analyze_loop ?(pure = S.empty) cfg (u : Ast.program_unit)
       if not (cfg.allow_pure_functions && S.mem f pure) then
         block (Verdict.Unknown_func f))
     (dedup (Usedef.func_calls l.body));
-  let ctx =
-    Ctx.make ~cunit:u ~outer ~candidate:l ~inner_loops:(inner_loops l.body)
+  let inner = inner_loops l.body in
+  let ctx = Ctx.make ~cunit:u ~outer ~candidate:l ~inner_loops:inner in
+  let inside =
+    lazy
+      (let t = Hashtbl.create 64 in
+       Ast.fold_stmts (fun () s -> Hashtbl.replace t s.Ast.sid ()) () l.body;
+       t)
   in
   let accesses = Access.collect l.body in
   if
@@ -142,18 +159,18 @@ let analyze_loop ?(pure = S.empty) cfg (u : Ast.program_unit)
         let is_inner_index =
           List.exists
             (fun (il : Ast.do_loop) -> String.equal il.index name)
-            (inner_loops l.body)
+            inner
         in
         if writes = [] then ()
         else if is_scalar_like then begin
-          match Scalars.classify u l.body name with
+          match Scalars.classify u l.body name accs with
           | Scalars.Read_only -> ()
           | Scalars.Reduction op -> reductions := (op, name) :: !reductions
           | Scalars.Private ->
               privates := name :: !privates;
               (* F77 leaves a DO index undefined after loop completion,
                  so inner indices never need their last value *)
-              if (not is_inner_index) && live_outside u l name then
+              if (not is_inner_index) && live_outside live inside name then
                 peel := true
           | Scalars.Blocker why ->
               block (Verdict.Scalar_blocker { sb_name = name; sb_why = why })
@@ -191,10 +208,10 @@ let analyze_loop ?(pure = S.empty) cfg (u : Ast.program_unit)
           match witness with
           | None -> ()
           | Some (a, b, why) ->
-              let live = live_outside u l name in
-              if Array_private.privatizable ctx ~live_out:live accs then begin
+              let live_out = live_outside live inside name in
+              if Array_private.privatizable ctx ~live_out accs then begin
                 privates := name :: !privates;
-                if live then peel := true
+                if live_out then peel := true
               end
               else begin
                 block
@@ -231,24 +248,24 @@ let profitable cfg u (l : Ast.do_loop) =
 
 (* ------------------------------------------------------------------ *)
 
-let rec process_stmts ~pure cfg u outer reports stmts =
+let rec process_stmts ~pure cfg u live outer reports stmts =
   List.concat_map
     (fun (s : Ast.stmt) ->
       match s.node with
-      | Ast.Do_loop l -> process_loop ~pure cfg u outer reports s l
+      | Ast.Do_loop l -> process_loop ~pure cfg u live outer reports s l
       | Ast.If (c, t, e) ->
-          let t' = process_stmts ~pure cfg u outer reports t in
-          let e' = process_stmts ~pure cfg u outer reports e in
+          let t' = process_stmts ~pure cfg u live outer reports t in
+          let e' = process_stmts ~pure cfg u live outer reports e in
           [ { s with node = Ast.If (c, t', e') } ]
       | Ast.Tagged (tag, b) ->
-          let b' = process_stmts ~pure cfg u outer reports b in
+          let b' = process_stmts ~pure cfg u live outer reports b in
           [ { s with node = Ast.Tagged (tag, b') } ]
       | _ -> [ s ])
     stmts
 
-and process_loop ~pure cfg u outer reports s (l : Ast.do_loop) =
+and process_loop ~pure cfg u live outer reports s (l : Ast.do_loop) =
   (* inner loops first *)
-  let body = process_stmts ~pure cfg u (outer @ [ l ]) reports l.body in
+  let body = process_stmts ~pure cfg u live (outer @ [ l ]) reports l.body in
   let l = { l with body } in
   let lid =
     {
@@ -261,7 +278,7 @@ and process_loop ~pure cfg u outer reports s (l : Ast.do_loop) =
   in
   let analysis =
     Span.span ~cat:"parallelize" ~unit_:u.u_name ~loop:l.loop_id
-      "analyze-loop" (fun () -> analyze_loop ~pure cfg u outer l)
+      "analyze-loop" (fun () -> analyze_loop ~pure cfg u live outer l)
   in
   match analysis with
   | Error bs ->
@@ -345,7 +362,7 @@ let run_unit ?(config = default_config) ?(pure = S.empty)
      before (hence the bench suite pins counters single-job). *)
   Fault.point "parallelizer.unit";
   let reports = ref [] in
-  let body = process_stmts ~pure config u [] reports u.u_body in
+  let body = process_stmts ~pure config u (live_index u) [] reports u.u_body in
   let body = if config.mark_nested then body else strip_nested body in
   ({ u with u_body = body }, List.rev !reports)
 

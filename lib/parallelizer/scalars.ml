@@ -11,6 +11,27 @@ type classification =
   | Reduction of Ast.red_op
   | Blocker of string
 
+(* Does [e] mention [v] (as a variable, array, function or section
+   name)?  The same names as [Ast.expr_vars], without building the list. *)
+let rec mentions v (e : Ast.expr) =
+  match e with
+  | Ast.Int_const _ | Ast.Real_const _ | Ast.Str_const _ | Ast.Logical_const _
+    ->
+      false
+  | Ast.Var x -> String.equal x v
+  | Ast.Array_ref (a, args) | Ast.Func_call (a, args) ->
+      String.equal a v || List.exists (mentions v) args
+  | Ast.Binop (_, a, b) -> mentions v a || mentions v b
+  | Ast.Unop (_, a) -> mentions v a
+  | Ast.Section (a, bounds) ->
+      String.equal a v
+      || List.exists
+           (fun (x, y, z) ->
+             List.exists
+               (function Some e -> mentions v e | None -> false)
+               [ x; y; z ])
+           bounds
+
 (* Is every statement touching [v] a reduction update [v = v op e]? *)
 let reduction_of u body v : Ast.red_op option =
   let op_found = ref None in
@@ -20,7 +41,7 @@ let reduction_of u body v : Ast.red_op option =
     | None -> op_found := Some op
     | Some op' -> if op <> op' then ok := false
   in
-  let reads_v e = List.mem v (Ast.expr_vars e) in
+  let reads_v = mentions v in
   (* Flatten an Add/Sub chain into addends; [v] must appear exactly once,
      positively, as a direct addend: S = S + a + b - c. *)
   let sum_reduction rhs =
@@ -91,7 +112,7 @@ let rec def_before_use v assigned stmts : bool * bool =
     (fun (ok, assigned) (s : Ast.stmt) ->
       if not ok then (false, assigned)
       else
-        let reads_v e = List.mem v (Ast.expr_vars e) in
+        let reads_v = mentions v in
         match s.node with
         | Ast.Assign (lv, rhs) ->
             let read =
@@ -131,13 +152,9 @@ let rec def_before_use v assigned stmts : bool * bool =
     (true, assigned) stmts
 
 (** Classify scalar (or whole-array-accessed) name [v] for the candidate
-    loop body. *)
-let classify u body v : classification =
-  let accs =
-    List.filter
-      (fun (a : Access.t) -> String.equal a.ca_name v)
-      (Access.collect body)
-  in
+    loop body; [accs] are [v]'s accesses in [body] ({!Access.collect},
+    grouped by {!Access.by_name}). *)
+let classify u body v (accs : Access.t list) : classification =
   let writes = List.filter (fun a -> a.Access.ca_write) accs in
   if writes = [] then Read_only
   else

@@ -245,10 +245,13 @@ let run ?(growth_budget = default_growth_budget)
     in
     (program, asites + csites)
   in
+  (* One unit table for every analysis of this plan: a probe re-analyzes
+     only the units its inlining changed. *)
+  let units = Pipeline.unit_table () in
   let analyze ?(validate = false) ~sel_annot program =
     Pipeline.run_robust ?par_config ~annot_config:acfg
       ~annots:(selected_annots sel_annot) ~dg ~validate ?validate_threads
-      ~mode:Pipeline.Demand program
+      ~units ~mode:Pipeline.Demand program
   in
   let enabled =
     match Fault.point "planner.plan" with

@@ -636,9 +636,14 @@ let work t ~op (j : Json.t) : outcome =
       | None ->
           (* warm this domain's memo store from the hub before the
              compute, publish what the compute learned after: domain
-             A's cold miss becomes domain B's warm hit.  Both are
-             no-ops for the stdio/sequential daemon beyond one
-             mutex round-trip. *)
+             A's cold miss becomes domain B's warm hit.  Neither call
+             is cheap, even for the stdio/sequential daemon: each
+             exports this domain's whole memo store and re-interns it
+             into the hub under the hub mutex (and re-imports the
+             whole hub when another domain published since), about
+             3.4 ms per call at ~1,800 memo entries on a 2-core VM.
+             See ROADMAP.md, "Memo hub: sync the delta, bound the
+             store". *)
           let (_ : int * int) = Dependence.Memo.sync () in
           let prof = Frontend.Prof.create () in
           let body =

@@ -11,9 +11,9 @@
 #   - dep_tests_run must match exactly (the tester asks the same
 #     questions; caching only changes who answers),
 #   - dep_cache_misses must not regress above the baseline,
-#   - suite-wide, the demand configuration's dep-cache hit ratio must
-#     be >= annotation's (the planner's probe re-analyses replay
-#     memoized dependence questions; a drop means recomputation),
+#   - suite-wide, the demand configuration's dep_cache_misses must
+#     not exceed the baseline's (the planner's probe re-analyses replay
+#     memoized dependence questions; a rise means recomputation),
 #   - counter keys absent from either side (older/newer schema) are
 #     skipped with a warning, never failed.
 #

@@ -57,3 +57,14 @@ let expr_testable =
   Alcotest.testable
     (fun fmt e -> Format.pp_print_string fmt (Pretty.expr_str e))
     Ast.equal_expr
+
+(** Byte-level fingerprint of one analysis: every verdict as JSON, in
+    report order, then the optimized program. *)
+let fingerprint (r : Core.Pipeline.result) =
+  String.concat "\n"
+    (List.map
+       (fun (rep : Parallelizer.Parallelize.loop_report) ->
+         Json.to_string (Parallelizer.Verdict.to_json rep.rep_verdict))
+       r.res_reports)
+  ^ "\n"
+  ^ Pretty.program_to_string r.res_program

@@ -207,6 +207,51 @@ let test_code_size () =
   let p = parse "      PROGRAM T\n      X = 1\n      END\n" in
   ci "code size" 3 (Pretty.code_size p)
 
+(* The count [Pretty.code_size] stands for: non-blank, non-comment
+   lines of the rendered program. *)
+let rendered_code_size p =
+  List.length
+    (List.filter
+       (fun l ->
+         let t = String.trim l in
+         t <> "" && t.[0] <> '!')
+       (String.split_on_char '\n' (Pretty.program_to_string p)))
+
+let test_code_size_from_ast () =
+  let agree what p =
+    ci (what ^ ": code size = rendered count") (rendered_code_size p)
+      (Pretty.code_size p)
+  in
+  List.iter
+    (fun (pt : Perfect.Driver.point) ->
+      match pt.pt_program with
+      | Some p ->
+          agree
+            (pt.pt_bench ^ "/" ^ Core.Pipeline.mode_name pt.pt_config)
+            p
+      | None -> Alcotest.failf "%s: crashed suite point" pt.pt_bench)
+    (Perfect.Driver.run_suite ~jobs:1 ());
+  for seed = 1 to 50 do
+    List.iter
+      (fun mutate ->
+        let src =
+          if mutate then Fuzz.Gen.source_mutated ~seed
+          else Fuzz.Gen.source ~seed
+        in
+        List.iter
+          (fun mode ->
+            match Planner.compile_source ~mode src with
+            | r, _ ->
+                agree
+                  (Printf.sprintf "fuzz seed %d%s %s" seed
+                     (if mutate then " mutated" else "")
+                     (Core.Pipeline.mode_name mode))
+                  r.Core.Pipeline.res_program
+            | exception (Diag.Fatal _ | Diag.Error_limit _) -> ())
+          Core.Pipeline.[ No_inlining; Conventional; Annotation_based; Demand ])
+      [ false; true ]
+  done
+
 (* ---------------- resolution & validation ---------------- *)
 
 let test_resolve_function_call () =
@@ -292,4 +337,5 @@ let suite =
     ("validate: arity", `Quick, test_validate_arity);
     ("validate: undefined call", `Quick, test_validate_undefined_call);
     ("validate: COMMON mismatch", `Quick, test_validate_common_mismatch);
+    ("code size counts without rendering", `Slow, test_code_size_from_ast);
   ]

@@ -105,6 +105,26 @@ let test_differential_explain () =
   let cold = Dependence.Memo.with_cache false render in
   cs "explain-diff byte-identical without cache" cold hot
 
+(* The demand planner runs many probes through one memo; its verdicts,
+   plan and program must not depend on who answered the dependence
+   questions either. *)
+let demand_fingerprint (b : Perfect.Bench_def.t) =
+  Core.Pipeline.reset_gensyms ();
+  let r, plan =
+    Planner.run ~annots:(Perfect.Bench_def.annots b) (Perfect.Bench_def.parse b)
+  in
+  Json.to_string (Planner.to_json plan) ^ "\n" ^ Helpers.fingerprint r
+
+let test_differential_demand () =
+  List.iter
+    (fun (b : Perfect.Bench_def.t) ->
+      let hot = demand_fingerprint b in
+      let cold =
+        Dependence.Memo.with_cache false (fun () -> demand_fingerprint b)
+      in
+      cs (b.name ^ "/demand cached = uncached") cold hot)
+    Perfect.Suite.all
+
 (* ---------------- interning ---------------- *)
 
 let test_intern_idempotent () =
@@ -287,4 +307,6 @@ let suite =
       `Quick test_pool_exactly_once_under_failure;
     Alcotest.test_case "slot-resolved exec: parallel = serial" `Quick
       test_slot_exec_parallel_agrees;
+    Alcotest.test_case "demand: cached = uncached (verdict JSON)" `Slow
+      test_differential_demand;
   ]

@@ -179,6 +179,93 @@ let test_full_matrix_containment () =
   cb "demand inlines strictly fewer sites than conventional" true
     (!demand_sites < !conv_sites)
 
+(* ---------------- the per-plan unit table ---------------- *)
+
+let check_same what (fresh : Pipeline.result) (shared : Pipeline.result) =
+  Alcotest.(check string)
+    (what ^ ": text and verdicts")
+    (Helpers.fingerprint fresh) (Helpers.fingerprint shared);
+  Alcotest.(check (list int)) (what ^ ": marked") fresh.Pipeline.res_marked
+    shared.Pipeline.res_marked;
+  ci (what ^ ": code size") fresh.Pipeline.res_code_size
+    shared.Pipeline.res_code_size;
+  Alcotest.(check (list string)) (what ^ ": diagnostics")
+    (List.map Frontend.Diag.render fresh.Pipeline.res_diags)
+    (List.map Frontend.Diag.render shared.Pipeline.res_diags)
+
+(* A probe's program through the table that analyzed the pristine
+   program must equal a fresh analysis of it, while the units inlining
+   left alone are not analyzed again. *)
+let test_unit_table_reuse () =
+  let shared_tests = ref 0 and fresh_tests = ref 0 in
+  List.iter
+    (fun (b : Perfect.Bench_def.t) ->
+      let annots = Perfect.Bench_def.annots b in
+      Pipeline.reset_gensyms ();
+      let pristine = Perfect.Bench_def.parse b in
+      let inlined, _ = Core.Annot_inline.run ~robust:true ~annots pristine in
+      let analyze ?units prof p =
+        Pipeline.run_robust ~prof ?units ~annots ~mode:Pipeline.Demand p
+      in
+      let tests prof =
+        (Frontend.Prof.snapshot prof).Frontend.Prof.dep_tests_run
+      in
+      let units = Pipeline.unit_table () in
+      ignore (analyze ~units (Frontend.Prof.create ()) pristine);
+      let p_shared = Frontend.Prof.create () in
+      let shared = analyze ~units p_shared inlined in
+      let p_fresh = Frontend.Prof.create () in
+      let fresh = analyze p_fresh inlined in
+      check_same b.name fresh shared;
+      cb (b.name ^ ": no more dependence questions") true
+        (tests p_shared <= tests p_fresh);
+      shared_tests := !shared_tests + tests p_shared;
+      fresh_tests := !fresh_tests + tests p_fresh)
+    Perfect.Suite.all;
+  cb "the shared runs ask fewer dependence questions" true
+    (!shared_tests < !fresh_tests)
+
+(* MAIN's forward substitution is what makes A(K) analyzable; a one-shot
+   fault there salvages MAIN with the pass skipped.  The next analysis
+   through the same table must redo MAIN, not reuse the salvage. *)
+let salvage_source =
+  "      PROGRAM T\n" ^ "      DIMENSION A(100), B(100)\n"
+  ^ "      DO I = 1, 50\n" ^ "        K = I + 1\n" ^ "        A(K) = B(I)\n"
+  ^ "      ENDDO\n" ^ "      CALL FILL(B)\n" ^ "      END\n"
+  ^ "      SUBROUTINE FILL(X)\n" ^ "      DIMENSION X(100)\n"
+  ^ "      DO J = 1, 100\n" ^ "        X(J) = J\n" ^ "      ENDDO\n"
+  ^ "      END\n"
+
+let test_salvaged_unit_not_reused () =
+  Pipeline.reset_gensyms ();
+  let program = parse salvage_source in
+  let analyze ?units () =
+    Pipeline.run_robust ?units ~mode:Pipeline.Demand program
+  in
+  let units = Pipeline.unit_table () in
+  let plan =
+    Frontend.Fault.plan_of_rules
+      [
+        {
+          Frontend.Fault.r_site = "analysis.forward_subst";
+          r_trigger = Nth 1;
+          r_action = Raise;
+        };
+      ]
+  in
+  let salvaged, again =
+    Frontend.Fault.with_plan plan (fun () ->
+        let salvaged = analyze ~units () in
+        (salvaged, analyze ~units ()))
+  in
+  ci "the fault fired once" 1 (Frontend.Fault.fired_count plan);
+  cb "the first analysis salvaged a unit" true
+    (salvaged.Pipeline.res_diags <> []);
+  let clean = analyze () in
+  cb "the salvage changed the output" true
+    (Helpers.fingerprint salvaged <> Helpers.fingerprint clean);
+  check_same "after the fault" clean again
+
 let suite =
   [
     Alcotest.test_case "budget exhausted mid-round keeps partial plan" `Quick
@@ -189,4 +276,8 @@ let suite =
       test_recursive_callee_refused;
     Alcotest.test_case "full matrix: demand >= annotation, fewer sites" `Slow
       test_full_matrix_containment;
+    Alcotest.test_case "probes reuse unchanged units byte-identically" `Slow
+      test_unit_table_reuse;
+    Alcotest.test_case "a salvaged unit is never reused" `Quick
+      test_salvaged_unit_not_reused;
   ]
