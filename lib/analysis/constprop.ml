@@ -61,7 +61,14 @@ let propagate_stmts u env0 stmts =
                 env := kill_written (kill_written !env t) e;
                 Ast.If (c, t', e')
             | Ast.Call (n, args) ->
-                let args = List.map (fun a -> Simplify.simplify u (subst_env !env a)) args in
+                (* a bare variable is passed by reference: it stays *)
+                let args =
+                  List.map
+                    (function
+                      | Ast.Var _ as v -> v
+                      | a -> Simplify.simplify u (subst_env !env a))
+                    args
+                in
                 (* a call may clobber globals and by-ref arguments *)
                 env := M.empty;
                 Ast.Call (n, args)

@@ -1,15 +1,18 @@
 (** Forward substitution of scalar definitions into later uses.
 
     Polaris forward-substitutes scalars so that array subscripts expose
-    their structure to dependence analysis; e.g.
+    their structure to dependence analysis; e.g. with FSMP inlined into
+    DYFESM's main loop,
 
-      ID = IDBEGS(ISS) + 1 + K
-      CALL FSMP(ID, K)
+      ID = IDBEGS(ISS) + K
+      FE(I,ID) = FE(I,ID) * 0.5 + ...
 
-    becomes [CALL FSMP(IDBEGS(ISS) + 1 + K, K)], making the linearity of
-    the first argument in [K] visible.  The defining assignment is kept
-    (it is semantically harmless); dead-store removal is not this pass's
-    job.
+    becomes [FE(I,IDBEGS(ISS) + K) = ...], making the subscript's
+    linearity in [K] visible.  The defining assignment is kept (it is
+    semantically harmless); dead-store removal is not this pass's job.
+    A bare variable passed to a CALL is left alone: Fortran passes it by
+    reference, so [CALL FSMP(ID, K)] keeps [ID] for the callee to read
+    and write.
 
     A definition [v = rhs] is propagated into following statements of the
     same block -- descending into nested loops/ifs -- until [v] or any
@@ -115,14 +118,17 @@ and process_stmt u defs (s : Ast.stmt) : Ast.stmt * def list =
       ({ s with node = Ast.If (sub c, t', e') }, keep)
   | Ast.Call (n, args) ->
       (* after a call with unknown effects nothing survives *)
-      ({ s with node = Ast.Call (n, List.map sub args) }, [])
+      let actual = function Ast.Var _ as v -> v | a -> sub a in
+      ({ s with node = Ast.Call (n, List.map actual args) }, [])
   | Ast.Print es -> ({ s with node = Ast.Print (List.map sub es) }, defs)
   | Ast.Tagged (tag, body) ->
       let w = Usedef.written body in
       let live = List.filter (fun d -> not (kills w d)) defs in
       let body' = process_block u live body in
-      (* keep the recorded actuals consistent with the substituted body *)
-      let tag = { tag with Ast.tag_actuals = List.map sub tag.tag_actuals } in
+      (* keep the recorded actuals consistent with the substituted body,
+         which saw only the definitions live across the region *)
+      let sub_live e = Simplify.simplify u (subst_defs live e) in
+      let tag = { tag with Ast.tag_actuals = List.map sub_live tag.tag_actuals } in
       ({ s with node = Ast.Tagged (tag, body') }, live)
   | Ast.Return | Ast.Stop _ | Ast.Continue -> (s, defs)
 

@@ -1,5 +1,5 @@
 (** The fuzz harness: drive {!Gen} corpora through the robust pipeline
-    and enforce the two crash-free-gate invariants.
+    and enforce the crash-free-gate invariants.
 
     1. {b No bare escapes}: for every generated program, the pipeline
        either completes or fails through the structured diagnostic
@@ -12,6 +12,11 @@
        salvaged into something that traps at runtime ([v_crashed] is
        tolerated there), but an unexcused race or a divergence is a bug
        in either mode.
+    3. {b The emitted program computes what the original computes}: for a
+       valid program, both run serially and print the same output
+       (compared like the oracle compares runs).  The oracle compares
+       serial and parallel runs of the emitted program only, so it cannot
+       see a miscompile that both runs share.
 
     Each seed is compiled under one of the three pipeline modes (picked
     by [seed mod 3]) so a corpus sweep exercises conventional and
@@ -33,6 +38,9 @@ type outcome = {
   o_diags : Diag.t list;
   o_marked : int;  (** loops that received a directive *)
   o_verdict : Checker.Oracle.verdict option;
+  o_miscompiled : string option;
+      (** valid corpus: why the emitted program's serial output is not
+          the original's — an invariant-3 violation *)
 }
 
 let mode_of_seed seed : Core.Pipeline.mode =
@@ -40,6 +48,20 @@ let mode_of_seed seed : Core.Pipeline.mode =
   | 0 -> No_inlining
   | 1 -> Conventional
   | _ -> Annotation_based
+
+(* Invariant 3: run the original and the emitted program serially. *)
+let miscompiled source (emitted : Ast.program) : string option =
+  let run program =
+    match Runtime.Interp.run_program program with
+    | out -> Ok out
+    | exception e -> Error (Printexc.to_string e)
+  in
+  match (run (Resolve.parse source), run emitted) with
+  | Ok a, Ok b when Checker.Oracle.outputs_equal a b -> None
+  | Ok _, Ok _ -> Some "emitted program's output differs from the original's"
+  | Error e, _ -> Some ("original program failed: " ^ e)
+  | _, Error e -> Some ("emitted program failed: " ^ e)
+  | exception e -> Some ("original program failed: " ^ Printexc.to_string e)
 
 (** Compile-and-validate one seed.  Never raises. *)
 let run_one ?(mutate = false) ~seed () : outcome =
@@ -58,6 +80,7 @@ let run_one ?(mutate = false) ~seed () : outcome =
       o_diags = [];
       o_marked = 0;
       o_verdict = None;
+      o_miscompiled = None;
     }
   in
   match Planner.compile_source ~validate:true ~mode source with
@@ -67,6 +90,8 @@ let run_one ?(mutate = false) ~seed () : outcome =
         o_diags = res.res_diags;
         o_marked = List.length res.res_marked;
         o_verdict = res.res_validation;
+        o_miscompiled =
+          (if mutate then None else miscompiled source res.res_program);
       }
   | exception Diag.Fatal d -> { base with o_fatal = true; o_diags = [ d ] }
   | exception Diag.Error_limit n ->
@@ -97,7 +122,7 @@ let violation ?(mutate = false) (o : outcome) : string option =
           else if v.v_diverged then Some "serial/parallel divergence"
           else if v.v_crashed && not mutate then
             Some "execution crashed on a valid program"
-          else None)
+          else o.o_miscompiled)
 
 type summary = {
   s_total : int;

@@ -1,23 +1,34 @@
 (** Interpreter for the Fortran subset, with OpenMP-style parallel
     execution of directive-carrying loops across OCaml 5 domains.
 
-    Execution is staged: each program unit's body is compiled once into
-    typed closures ([float], [int] and [bool] evaluators), so the hot path
-    allocates almost nothing -- important both for raw speed and because
-    the OCaml 5 runtime taxes allocation-heavy code heavily once extra
-    domains exist.
+    Execution is staged: before a run starts, every program unit is
+    compiled into typed closures ([float], [int] and [bool] evaluators),
+    so the hot path allocates almost nothing -- important both for raw
+    speed and because the OCaml 5 runtime taxes allocation-heavy code
+    heavily once extra domains exist.  Nothing is compiled once the run
+    has started.
+
+    Names resolve through one mechanism.  Compiling a unit gives every
+    name it can mention a slot and decides how that slot is filled: a
+    formal by the call site's binder, a PARAMETER by its evaluator and a
+    FUNCTION result by the call, all when the frame is made; a COMMON
+    member (its block storage, followed through the frame's storage-keyed
+    privatization list) or a local (fresh storage) on first touch.  A
+    frame is its slot array plus that list.
 
     Parallel semantics follow the directives the parallelizer emits:
 
     - iterations are block-partitioned over a persistent {!Pool} of worker
       domains;
-    - PRIVATE names get fresh per-worker storage.  Inside the directive's
-      own unit the override is name-keyed; across call boundaries it is
-      keyed by *physical storage* instead, so subroutines called from the
-      loop body resolve privatized COMMON variables to the worker's copy
-      (the paper's treatment of global temporary arrays like [XY] in
-      FSMP) while their own locals and formals that merely share a name
-      with a privatized variable stay untouched;
+    - each worker runs on its own copy of the directive unit's slot array,
+      in which the loop index and the PRIVATE and REDUCTION names hold
+      fresh per-worker storage, so no worker writes the parent frame.
+      Every replaced storage also enters the worker's storage-keyed list:
+      subroutines called from the loop body resolve privatized COMMON
+      variables to the worker's copy (the paper's treatment of global
+      temporary arrays like [XY] in FSMP), while their own locals and
+      formals that merely share a name with a privatized variable stay
+      untouched;
     - REDUCTION names accumulate per worker from the identity element and
       merge under a lock at the join;
     - nested parallel regions execute sequentially (one level, like the
@@ -47,30 +58,10 @@ type fuel_cell = { remaining : int Atomic.t; budget : int }
 let default_max_depth = 1000
 
 (* ------------------------------------------------------------------ *)
-(* Global state and frames                                              *)
+(* Global state, frames and compiled units                              *)
 (* ------------------------------------------------------------------ *)
 
-type cenv = {
-  ce_program : Ast.program;
-  ce_unit : Ast.program_unit;
-  ce_slots : (string, int) Hashtbl.t;
-      (** variable name -> dense per-unit slot index, assigned at compile
-          time; every frame of the unit carries a [slots] array indexed by
-          these, so the per-access hot path is an array load instead of a
-          string-hashing [Hashtbl.find] *)
-  mutable ce_nslots : int;
-  mutable ce_frozen : bool;
-      (** set once the unit's body is compiled: post-freeze compilations
-          (dynamic [eval_dims] / argument snapshots, possibly from worker
-          domains) must not mutate the slot table, so unknown names get
-          slot [-1] and fall back to name lookup *)
-}
-
 type global = {
-  program : Ast.program;
-  commons : (string, view array) Hashtbl.t;  (** block -> member views *)
-  common_layout : (string, (string * (string * int)) list) Hashtbl.t;
-      (** per unit: member name -> (block, position) *)
   out : Buffer.t;
   out_mutex : Mutex.t;
   threads : int;
@@ -79,13 +70,6 @@ type global = {
       (** one scratch stack per chunk index of a fork ([threads] of
           them), reused by every fork: a fork's chunks run concurrently,
           forks never overlap *)
-  code_cache : (string, cstmt array) Hashtbl.t;  (** compiled unit bodies *)
-  cenvs : (string, cenv) Hashtbl.t;
-      (** per-unit compile environments; populated during the up-front
-          precompile and frozen before execution starts *)
-  params_const_cache : (string, (string * pconst) list) Hashtbl.t;
-      (** per-unit precompiled PARAMETER evaluators, so binding a frame
-          does not recompile the constant expressions on every call *)
   profile : (int, prof_cell) Hashtbl.t option;
   fuel : fuel_cell option;  (** step budget; [None] = unlimited *)
   max_depth : int;  (** call-depth limit *)
@@ -96,27 +80,14 @@ and prof_cell = { mutable pt : float;  (** cumulative seconds *)
 
 and frame = {
   glb : global;
-  unit_ : Ast.program_unit;
-  vars : (string, view) Hashtbl.t;
   slots : view array;
-      (** slot-resolved name cache, indexed by the unit's [cenv] slot
-          numbers.  Entries start as the shared {!unresolved} sentinel and
-          are filled by the first access through {!resolver} with whatever
-          [lookup] returns for this frame — so per-frame semantics
-          (privatization overrides, lazily allocated locals, COMMON
-          remapping) are untouched; only the repeated string-keyed lookups
-          are.  Worker frames get a fresh array: their privatized names
-          resolve differently from the parent's. *)
-  consts : (string, value) Hashtbl.t;
-  overrides : (string, view) Hashtbl.t list;
-      (** dynamic privatization stack, innermost first; consulted only in
-          the unit that lexically contains the directive — it stops at
-          the call boundary *)
-  st_overrides : (storage * view) list;
-      (** storage-keyed privatization, innermost first: shared COMMON
-          storage -> private per-worker copy.  Callee frames re-map
-          COMMON members through this by physical identity, so a callee
-          local or formal that shares a *name* with a privatized
+      (** one entry per slot of the unit's {!cunit}; a slot the frame has
+          not filled yet holds the shared {!unresolved} sentinel *)
+  privatized : (storage * view) list;
+      (** storage-keyed privatization, innermost first: shared storage ->
+          private per-worker copy.  A COMMON member's first touch follows
+          its block storage through this list by physical identity, so a
+          callee local or formal that shares a *name* with a privatized
           variable is never captured *)
   in_parallel : bool;
   depth : int;  (** call nesting depth, checked against [glb.max_depth] *)
@@ -128,7 +99,31 @@ and frame = {
 }
 
 and cstmt = frame -> unit
-and pconst = frame -> value
+
+(* A program unit compiled for one run.  Every field is final before the
+   run starts; frames only read it. *)
+type cunit = {
+  cu_unit : Ast.program_unit;
+  cu_slots : (string, int) Hashtbl.t;  (** name -> slot *)
+  cu_dims : (string, frame -> int array) Hashtbl.t;
+      (** declared extents of each name whose declaration has dims,
+          compiled once per declaration *)
+  mutable cu_fill : (frame -> view) array;
+      (** per slot, the first-touch fill (COMMON member or fresh local);
+          its length is the unit's slot count *)
+  mutable cu_params : (int * (frame -> value)) list;
+      (** PARAMETER slots and evaluators, bound in declaration order *)
+  mutable cu_reshape : (int * (frame -> int array)) list;
+      (** formal arrays, reshaped once every formal is bound *)
+  mutable cu_code : cstmt array;
+}
+
+type cenv = {
+  ce_units : (string, cunit) Hashtbl.t;
+      (** the first unit of each name: the one {!Ast.find_unit}, and so
+          every analysis, binds a call to *)
+  ce_cu : cunit;  (** the unit being compiled *)
+}
 
 let fstk_size = 512
 
@@ -136,46 +131,35 @@ let fstk_size = 512
    equality.  Never read or written as storage. *)
 let unresolved : view = { st = Bs [||]; off = -1; dims = [||] }
 
-(* The compile environment of [u] under [glb].  Environments are created
-   (and registered) during the up-front precompile; a miss afterwards
-   returns a frozen throwaway so dynamic compilation still works, just
-   without slot resolution. *)
-let cenv_of (glb : global) (u : Ast.program_unit) : cenv =
-  match Hashtbl.find_opt glb.cenvs u.Ast.u_name with
-  | Some env when env.ce_unit == u -> env
-  | _ ->
-      {
-        ce_program = glb.program;
-        ce_unit = u;
-        ce_slots = Hashtbl.create 1;
-        ce_nslots = 0;
-        ce_frozen = true;
-      }
-
-let make_cenv (glb : global) (u : Ast.program_unit) : cenv =
-  let env =
-    {
-      ce_program = glb.program;
-      ce_unit = u;
-      ce_slots = Hashtbl.create 32;
-      ce_nslots = 0;
-      ce_frozen = false;
-    }
-  in
-  Hashtbl.replace glb.cenvs u.Ast.u_name env;
-  env
-
-let slot_of (env : cenv) name : int =
-  match Hashtbl.find_opt env.ce_slots name with
+let slot_of (cu : cunit) name : int =
+  match Hashtbl.find_opt cu.cu_slots name with
   | Some s -> s
   | None ->
-      if env.ce_frozen then -1
-      else begin
-        let s = env.ce_nslots in
-        env.ce_nslots <- s + 1;
-        Hashtbl.replace env.ce_slots name s;
-        s
-      end
+      let s = Hashtbl.length cu.cu_slots in
+      Hashtbl.replace cu.cu_slots name s;
+      s
+
+(* Every name the unit declares has a slot, mentioned or not: a PRIVATE
+   clause may name a COMMON member that only callees touch. *)
+let new_cunit (u : Ast.program_unit) : cunit =
+  let cu =
+    {
+      cu_unit = u;
+      cu_slots = Hashtbl.create 32;
+      cu_dims = Hashtbl.create 8;
+      cu_fill = [||];
+      cu_params = [];
+      cu_reshape = [];
+      cu_code = [||];
+    }
+  in
+  let declare n = ignore (slot_of cu n) in
+  List.iter declare u.u_params;
+  (match u.u_kind with Ast.Function _ -> declare u.u_name | _ -> ());
+  List.iter (fun (n, _) -> declare n) u.u_params_const;
+  List.iter (fun (_, members) -> List.iter declare members) u.u_commons;
+  List.iter (fun (d : Ast.decl) -> declare d.d_name) u.u_decls;
+  cu
 
 (* Charge [n] steps against the run's fuel.  The subset has only counted
    DO loops (no GOTO), so charging each loop's trip count once at entry —
@@ -225,20 +209,25 @@ let decl_total_size u (d : Ast.decl) : int option =
             | _ -> None))
       (Some 1) d.Ast.d_dims
 
+(* A unit's COMMON members: name -> (block, position).  A name listed
+   twice resolves to its last listing. *)
+let common_layout (u : Ast.program_unit) : (string * (string * int)) list =
+  List.rev
+    (List.concat_map
+       (fun (blk, members) -> List.mapi (fun pos m -> (m, (blk, pos))) members)
+       u.Ast.u_commons)
+
 (* Allocate every COMMON block: per member position, the max constant size
    over all declaring units (shapes may legally differ across units, e.g.
    after linearization). *)
-let build_commons (program : Ast.program) =
+let build_commons (program : Ast.program) : (string, view array) Hashtbl.t =
   let sizes : (string, (int * Ast.dtype) array) Hashtbl.t = Hashtbl.create 8 in
-  let layouts = Hashtbl.create 16 in
   List.iter
     (fun (u : Ast.program_unit) ->
-      let layout = ref [] in
       List.iter
         (fun (blk, members) ->
           List.iteri
             (fun pos m ->
-              layout := (m, (blk, pos)) :: !layout;
               let size =
                 match Ast.find_decl u m with
                 | Some d -> Option.value ~default:1 (decl_total_size u d)
@@ -264,8 +253,7 @@ let build_commons (program : Ast.program) =
               arr.(pos) <-
                 (max old_size size, if old_size = 1 then ty else old_ty))
             members)
-        u.u_commons;
-      Hashtbl.replace layouts u.u_name !layout)
+        u.u_commons)
     program.p_units;
   let commons = Hashtbl.create 8 in
   Hashtbl.iter
@@ -275,111 +263,92 @@ let build_commons (program : Ast.program) =
            (fun (n, ty) -> { st = alloc_storage ty n; off = 0; dims = [| n |] })
            arr))
     sizes;
-  (commons, layouts)
+  commons
 
 (* ------------------------------------------------------------------ *)
 (* Name resolution                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rec find_override stack name =
-  match stack with
-  | [] -> None
-  | tbl :: rest -> (
-      match Hashtbl.find_opt tbl name with
-      | Some v -> Some v
-      | None -> find_override rest name)
-
-(* forward reference: dimension evaluation needs expression evaluation *)
-let eval_int_ref : (frame -> Ast.expr -> int) ref =
-  ref (fun _ _ -> assert false)
-
-let eval_dims fr (d : Ast.decl) : int array =
-  match d.Ast.d_dims with
-  | [] -> [||]
-  | dims ->
-      Array.of_list
-        (List.map
-           (function
-             | Ast.Dim_star -> 1 (* assumed-size: extent bounded by storage *)
-             | Ast.Dim_expr e -> max 0 (!eval_int_ref fr e))
-           dims)
-
-(* Slow path of [lookup]: COMMON resolution / lazy local allocation. *)
-let lookup_slow (fr : frame) name : view =
-  match find_override fr.overrides name with
-  | Some v -> v
-  | None -> (
-      match Hashtbl.find_opt fr.vars name with
-      | Some v -> v
-      | None -> (
-          let layout =
-            Option.value ~default:[]
-              (Hashtbl.find_opt fr.glb.common_layout fr.unit_.u_name)
-          in
-          match List.assoc_opt name layout with
-          | Some (blk, pos) ->
-              let base = (Hashtbl.find fr.glb.commons blk).(pos) in
-              let base =
-                (* privatized COMMON member: follow the storage to this
-                   worker's private copy, whatever this unit calls it *)
-                let rec remap = function
-                  | [] -> base
-                  | (s, p) :: tl ->
-                      if same_storage s base.st then p else remap tl
-                in
-                remap fr.st_overrides
-              in
-              let dims =
-                match Ast.find_decl fr.unit_ name with
-                | Some d -> eval_dims fr d
-                | None -> [||]
-              in
-              let v = { base with dims } in
-              Hashtbl.replace fr.vars name v;
-              v
-          | None ->
-              let ty = Ast.type_of_var fr.unit_ name in
-              let v =
-                match Ast.find_decl fr.unit_ name with
-                | Some d when d.d_dims <> [] ->
-                    let dims = eval_dims fr d in
-                    let n = max 1 (Array.fold_left ( * ) 1 dims) in
-                    { st = alloc_storage ty n; off = 0; dims }
-                | _ -> scalar_view ty
-              in
-              Hashtbl.replace fr.vars name v;
-              v))
-
-(* Resolve a name to a view.  The fast path is a direct hit in the frame
-   table with no option allocation.  Frames are constructed so that
-   vars-first is always correct: worker frames *remove* privatized names
-   from their table (so they fall through to the override stack), and
-   callee frames start with formals only (so COMMON members resolve
-   through the override stack once and are then cached per frame). *)
-let lookup (fr : frame) name : view =
-  try Hashtbl.find fr.vars name with Not_found -> lookup_slow fr name
-
-(* Compile-time name resolution: bind [name] to its per-unit slot and
-   return a [frame -> view] that reads the frame's slot cache, resolving
-   through [lookup] once per frame on first touch.  Frames whose slot
-   array predates this slot (or names compiled post-freeze, slot -1)
-   fall back to plain lookup — slower, never wrong. *)
+(* Compile-time name resolution: bind [name] to its slot in the unit
+   being compiled and return a [frame -> view] that reads the frame's
+   slot, filling it by the slot's rule on first touch. *)
 let resolver (env : cenv) name : frame -> view =
-  let s = slot_of env name in
-  if s < 0 then fun fr -> lookup fr name
-  else
-    fun fr ->
-      let slots = fr.slots in
-      if s < Array.length slots then begin
-        let v = Array.unsafe_get slots s in
-        if v != unresolved then v
-        else begin
-          let w = lookup fr name in
-          Array.unsafe_set slots s w;
-          w
-        end
-      end
-      else lookup fr name
+  let cu = env.ce_cu in
+  let s = slot_of cu name in
+  fun fr ->
+    let v = Array.unsafe_get fr.slots s in
+    if v != unresolved then v
+    else begin
+      let w = (Array.unsafe_get cu.cu_fill s) fr in
+      Array.unsafe_set fr.slots s w;
+      w
+    end
+
+(* The first-touch fill of each slot of [cu]: a COMMON member is its
+   block storage, or this worker's private copy of it, whatever this unit
+   calls it; anything else is a fresh local. *)
+let fill_rules commons (cu : cunit) : (frame -> view) array =
+  let u = cu.cu_unit in
+  let layout = common_layout u in
+  let names = Array.make (Hashtbl.length cu.cu_slots) "" in
+  Hashtbl.iter (fun n s -> names.(s) <- n) cu.cu_slots;
+  Array.map
+    (fun name ->
+      let dims = Hashtbl.find_opt cu.cu_dims name in
+      match (List.assoc_opt name layout, dims) with
+      | Some (blk, pos), _ ->
+          let base = (Hashtbl.find commons blk).(pos) in
+          let dims = Option.value dims ~default:(fun _ -> [||]) in
+          fun fr ->
+            let rec remap = function
+              | [] -> base
+              | (s, p) :: tl -> if same_storage s base.st then p else remap tl
+            in
+            { (remap fr.privatized) with dims = dims fr }
+      | None, Some dims ->
+          let ty = Ast.type_of_var u name in
+          fun fr ->
+            let dims = dims fr in
+            let n = max 1 (Array.fold_left ( * ) 1 dims) in
+            { st = alloc_storage ty n; off = 0; dims }
+      | None, None ->
+          let ty = Ast.type_of_var u name in
+          fun _ -> scalar_view ty)
+    names
+
+(* By-value argument or PARAMETER: a fresh scalar view holding the
+   value. *)
+let snapshot_view (value : value) : view =
+  let ty =
+    match value with
+    | VInt _ -> Ast.Integer
+    | VReal _ -> Ast.Double
+    | VBool _ -> Ast.Logical
+    | VStr _ -> Ast.Character
+  in
+  let view = scalar_view ty in
+  set view [] value;
+  view
+
+(* A frame of [cu] made from [fr]: every slot unresolved but the
+   PARAMETERs, bound in declaration order (a later one may read an earlier
+   one). *)
+let new_frame (fr : frame) (cu : cunit) ~depth : frame =
+  let nfr =
+    { fr with slots = Array.make (Array.length cu.cu_fill) unresolved; depth }
+  in
+  List.iter (fun (s, f) -> nfr.slots.(s) <- snapshot_view (f nfr)) cu.cu_params;
+  nfr
+
+(* Enter [cu] from the calling frame [fr], under the run's guards. *)
+let enter (fr : frame) (cu : cunit) : frame =
+  let depth = fr.depth + 1 in
+  if depth > fr.glb.max_depth then
+    trap "call depth limit of %d exceeded calling %s; runaway recursion \
+          trapped"
+      fr.glb.max_depth cu.cu_unit.u_name;
+  charge fr 1;
+  new_frame fr cu ~depth
 
 (* ------------------------------------------------------------------ *)
 (* Unboxed element access                                               *)
@@ -503,47 +472,21 @@ exception Compile_error of string
 
 let cerror fmt = Printf.ksprintf (fun s -> raise (Compile_error s)) fmt
 
-(* forward reference for user-function calls *)
-let call_function_ref : (frame -> string -> Ast.expr list -> value) ref =
-  ref (fun _ _ _ -> assert false)
+(* Compile now, fail when run: for code a run may never reach (declared
+   dims, function arguments), whose compile error must surface only if
+   it executes. *)
+let deferred compile =
+  try compile () with Compile_error m -> fun _ -> raise (Compile_error m)
 
 let rec compile_expr (env : cenv) (e : Ast.expr) : comp =
-  let u = env.ce_unit in
+  let u = env.ce_cu.cu_unit in
   let is_int = Analysis.Typing.is_int u in
   match e with
   | Ast.Int_const n -> CI (fun _ -> n)
   | Ast.Real_const r -> CF (fun fr i -> Array.unsafe_set fr.fstk i r)
   | Ast.Logical_const b -> CB (fun _ -> b)
   | Ast.Str_const _ -> cerror "string literal in numeric expression"
-  | Ast.Var v
-    when List.mem_assoc v u.Ast.u_params_const
-         && Ast.type_of_var u v <> Ast.Logical -> (
-      (* PARAMETER name: keep the dynamic consts probe — while the frame's
-         constants are being bound in order, an earlier one may be read
-         before later ones exist, falling through to lookup as before *)
-      match Ast.type_of_var u v with
-      | Ast.Integer ->
-          CI
-            (fun fr ->
-              match Hashtbl.find_opt fr.consts v with
-              | Some c -> to_int c
-              | None ->
-                  let w = lookup fr v in
-                  if Trace.on () then Trace.read v w 0;
-                  scalar_get_i w)
-      | _ ->
-          CF
-            (fun fr i ->
-              Array.unsafe_set fr.fstk i
-                (match Hashtbl.find_opt fr.consts v with
-                | Some c -> to_float c
-                | None ->
-                    let w = lookup fr v in
-                    if Trace.on () then Trace.read v w 0;
-                    scalar_get_f w)))
   | Ast.Var v -> (
-      (* not a PARAMETER of this unit (the consts table can never hold
-         it), so the probe is compiled away and the view is slot-cached *)
       let res = resolver env v in
       match Ast.type_of_var u v with
       | Ast.Integer ->
@@ -589,12 +532,9 @@ let rec compile_expr (env : cenv) (e : Ast.expr) : comp =
   | Ast.Func_call (f, args) when Intrinsics.is_intrinsic f ->
       compile_intrinsic env f args
   | Ast.Func_call (f, args) ->
-      if is_int e then CI (fun fr -> to_int (!call_function_ref fr f args))
-      else
-        CF
-          (fun fr i ->
-            Array.unsafe_set fr.fstk i
-              (to_float (!call_function_ref fr f args)))
+      let call = compile_function env f args in
+      if is_int e then CI (fun fr -> to_int (call fr))
+      else CF (fun fr i -> Array.unsafe_set fr.fstk i (to_float (call fr)))
   | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow) as op, a, b)
     ->
       if is_int e then
@@ -759,7 +699,7 @@ and compile_bool env e : frame -> bool =
   | CF _ -> cerror "numeric value where logical expected"
 
 and compile_intrinsic (env : cenv) f args : comp =
-  let all_int = List.for_all (Analysis.Typing.is_int env.ce_unit) args in
+  let all_int = List.for_all (Analysis.Typing.is_int env.ce_cu.cu_unit) args in
   let unary_f g =
     match args with
     | [ a ] ->
@@ -879,7 +819,7 @@ and compile_intrinsic (env : cenv) f args : comp =
 
 (* Boxed evaluation: slow boundaries only (PRINT, PARAMETER values,
    by-value argument snapshots). *)
-let eval_boxed (env : cenv) (e : Ast.expr) : frame -> value =
+and eval_boxed (env : cenv) (e : Ast.expr) : frame -> value =
   match e with
   | Ast.Str_const s -> fun _ -> VStr s
   | _ -> (
@@ -891,33 +831,91 @@ let eval_boxed (env : cenv) (e : Ast.expr) : frame -> value =
       | CI f -> fun fr -> VInt (f fr)
       | CB f -> fun fr -> VBool (f fr))
 
-(* Dynamic (post-freeze) compilation: adjustable dims, argument
-   snapshots.  The unit's frozen cenv assigns no new slots, so these
-   compile to plain lookup-based closures — slow path, never racy. *)
-let dyn_eval_int fr e = (compile_int (cenv_of fr.glb fr.unit_) e) fr
-let () = eval_int_ref := dyn_eval_int
+(* ------------------------------------------------------------------ *)
+(* Calls                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Compile one actual argument into a [caller frame -> view] binder:
+   by reference for a variable other than a PARAMETER, or for an element
+   of an array the caller declares or has already bound; by-value
+   snapshot otherwise. *)
+and compile_binder (env : cenv) (actual : Ast.expr) : frame -> view =
+  let u = env.ce_cu.cu_unit in
+  match actual with
+  | Ast.Var name when not (List.mem_assoc name u.Ast.u_params_const) ->
+      resolver env name
+  | Ast.Array_ref (name, idx) ->
+      let static_array = Ast.is_array u name in
+      let s = slot_of env.ce_cu name in
+      let res = resolver env name in
+      let idxc = Array.of_list (List.map (compile_int env) idx) in
+      let n = Array.length idxc in
+      let boxed = eval_boxed env actual in
+      fun fr ->
+        if static_array || Array.unsafe_get fr.slots s != unresolved then begin
+          let base = res fr in
+          let buf = Array.make n 0 in
+          for k = 0 to n - 1 do
+            buf.(k) <- (Array.unsafe_get idxc k) fr
+          done;
+          { base with off = base.off + offset_of base buf n; dims = [||] }
+        end
+        else snapshot_view (boxed fr)
+  | e ->
+      let boxed = eval_boxed env e in
+      fun fr -> snapshot_view (boxed fr)
+
+(* One call site of [cu], bound once: the returned function enters the
+   callee from the caller's frame, binds each formal to its actual's
+   binder (evaluated on that frame), then reshapes the formal arrays. *)
+and compile_call (env : cenv) (cu : cunit) (args : Ast.expr list) :
+    frame -> frame =
+  let u = cu.cu_unit in
+  if List.length args <> List.length u.u_params then fun fr ->
+    ignore (enter fr cu);
+    rerror "call to %s: arity mismatch" u.u_name
+  else
+    let binders =
+      List.map2
+        (fun formal a -> (slot_of cu formal, compile_binder env a))
+        u.u_params args
+    in
+    fun fr ->
+      let nfr = enter fr cu in
+      List.iter (fun (s, b) -> nfr.slots.(s) <- b fr) binders;
+      List.iter
+        (fun (s, dims) ->
+          let v = nfr.slots.(s) in
+          nfr.slots.(s) <- { v with dims = dims nfr })
+        cu.cu_reshape;
+      nfr
+
+and compile_function (env : cenv) f args : frame -> value =
+  match Hashtbl.find_opt env.ce_units f with
+  | Some ({ cu_unit = { u_kind = Ast.Function ty; _ }; _ } as cu) ->
+      let bind = deferred (fun () -> compile_call env cu args) in
+      let result = slot_of cu f in
+      fun fr ->
+        (* functions are invoked mid-expression: the caller may hold live
+           values in low scratch slots, so both the argument evaluation
+           and the callee body get their own stack *)
+        let nfr = bind { fr with fstk = Array.make fstk_size 0.0 } in
+        let r = scalar_view ty in
+        nfr.slots.(result) <- r;
+        (try run_code cu.cu_code nfr with Return_exn -> ());
+        get r []
+  | Some _ -> fun _ -> rerror "function call to non-function %s" f
+  | None -> fun _ -> rerror "call to undefined function %s" f
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* names a parallel loop body touches; resolved at compile time *)
-let touch_names program body =
-  List.filter_map
-    (fun (a : Analysis.Usedef.access) ->
-      if
-        Intrinsics.is_intrinsic a.acc_name
-        || Ast.find_unit program a.acc_name <> None
-      then None
-      else Some a.acc_name)
-    (Analysis.Usedef.accesses_of_stmts body)
-  |> List.sort_uniq compare
-
-let rec compile_stmts (env : cenv) (stmts : Ast.stmt list) : cstmt array =
+and compile_stmts (env : cenv) (stmts : Ast.stmt list) : cstmt array =
   Array.of_list (List.map (compile_stmt env) stmts)
 
 and compile_stmt (env : cenv) (s : Ast.stmt) : cstmt =
-  let u = env.ce_unit in
+  let u = env.ce_cu.cu_unit in
   match s.node with
   | Ast.Continue -> fun _ -> ()
   | Ast.Return -> fun _ -> raise Return_exn
@@ -932,20 +930,14 @@ and compile_stmt (env : cenv) (s : Ast.stmt) : cstmt =
         Buffer.add_string fr.glb.out (line ^ "\n");
         Mutex.unlock fr.glb.out_mutex
   | Ast.Call (name, args) -> (
-      (* resolve the callee and compile the argument binders now; the
-         per-call work left is frame construction.  Anything irregular
-         (undefined, non-subroutine, arity mismatch) keeps the dynamic
-         path, which raises the same runtime errors as before. *)
-      match Ast.find_unit env.ce_program name with
-      | Some callee
-        when callee.Ast.u_kind = Ast.Subroutine
-             && List.length args = List.length callee.Ast.u_params ->
-          let binders = List.map (compile_binder env) args in
+      match Hashtbl.find_opt env.ce_units name with
+      | Some ({ cu_unit = { u_kind = Ast.Subroutine; _ }; _ } as cu) ->
+          let bind = compile_call env cu args in
           fun fr ->
-            let nfr = bind_frame ~binders fr callee args in
-            let code = unit_code fr callee in
-            (try run_code code nfr with Return_exn -> ())
-      | _ -> fun fr -> call_subroutine fr name args)
+            let nfr = bind fr in
+            (try run_code cu.cu_code nfr with Return_exn -> ())
+      | Some _ -> fun _ -> rerror "CALL to non-subroutine %s" name
+      | None -> fun _ -> rerror "CALL to undefined subroutine %s" name)
   | Ast.Assign (Ast.Lvar v, e) -> (
       match Ast.find_decl u v with
       | Some d when d.d_dims <> [] ->
@@ -1018,14 +1010,8 @@ and compile_loop (env : cenv) (l : Ast.do_loop) : cstmt =
   let fhi = compile_int env l.hi in
   let fstep = compile_int env l.step in
   let fbody = compile_stmts env l.body in
-  let touches = lazy (touch_names env.ce_program l.body) in
-  let label =
-    if l.parallel = None then ""
-    else
-      Printf.sprintf "parallel loop %d of unit %s" l.loop_id
-        env.ce_unit.Ast.u_name
-  in
   let res_idx = resolver env l.index in
+  let fork = Option.map (compile_fork env l fbody res_idx) l.parallel in
   let run_seq fr lo hi step =
     let idx = res_idx fr in
     let tron = Trace.on () in
@@ -1067,10 +1053,9 @@ and compile_loop (env : cenv) (l : Ast.do_loop) : cstmt =
       | Some _ when profiled -> Frontend.Prof.monotonic_ns ()
       | _ -> 0L
     in
-    (match l.parallel with
-    | Some omp when (not fr.in_parallel) && fr.glb.threads > 1 ->
-        exec_parallel fr l omp fbody (Lazy.force touches) ~label ~lo ~hi
-          ~step
+    (match fork with
+    | Some fork when (not fr.in_parallel) && fr.glb.threads > 1 ->
+        fork fr ~lo ~hi ~step
     | _ -> run_seq fr lo hi step);
     match fr.glb.profile with
     | Some tbl when profiled -> (
@@ -1082,302 +1067,184 @@ and compile_loop (env : cenv) (l : Ast.do_loop) : cstmt =
         | None -> Hashtbl.replace tbl l.loop_id { pt = dt; pn = 1 })
     | _ -> ()
 
-and exec_parallel fr (l : Ast.do_loop) (omp : Ast.omp) fbody touches ~label
-    ~lo ~hi ~step =
-  let niter =
-    if step > 0 then max 0 (((hi - lo) / step) + 1)
-    else max 0 (((lo - hi) / -step) + 1)
+(* A directive loop's fork.  Everything a worker privatizes is resolved
+   against the parent frame on the calling domain; each chunk then runs
+   on its own copy of the parent's slots with the index, PRIVATE and
+   REDUCTION slots replaced, so workers never write the parent frame.  A
+   clause name the unit has no slot for (it neither declares nor mentions
+   it) has no storage to privatize. *)
+and compile_fork (env : cenv) (l : Ast.do_loop) fbody res_idx (omp : Ast.omp) =
+  let cu = env.ce_cu in
+  let label =
+    Printf.sprintf "parallel loop %d of unit %s" l.loop_id cu.cu_unit.u_name
   in
-  if niter = 0 then ()
-  else begin
-    let nw = min fr.glb.threads (max 1 niter) in
-    (* pre-touch so lazily-allocated locals exist in the parent frame
-       before per-worker copies are made *)
-    List.iter
-      (fun name ->
-        match Hashtbl.find_opt fr.consts name with
-        | Some _ -> ()
-        | None -> ignore (lookup fr name))
-      touches;
-    (* Everything a worker privatizes is resolved here, on the calling
-       domain.  A PRIVATE name the body never mentions (a COMMON
-       temporary only a callee writes) is missing from [touches], and
-       resolving it from the workers would have [lookup_slow] insert it
-       into the parent's [vars] from several domains at once.  Workers
-       only read the parent frame. *)
-    let priv_base =
-      List.map (fun name -> (name, lookup fr name)) omp.omp_private
-    in
-    let idx_base = lookup fr l.index in
-    let red_base =
-      List.map (fun (op, name) -> (op, name, lookup fr name)) omp.omp_reductions
-    in
-    let merge_mutex = if red_base = [] then None else Some (Mutex.create ()) in
-    let worker w =
-      let per = (niter + nw - 1) / nw in
-      let first = w * per and last = min niter ((w + 1) * per) in
-      if first >= last then ()
-      else begin
-        let priv_tbl = Hashtbl.create 8 in
-        let st_over = ref fr.st_overrides in
-        let mk_private (name, orig) =
-          let p = fresh_like orig in
-          Hashtbl.replace priv_tbl name p;
-          st_over := (orig.st, p) :: !st_over
-        in
-        List.iter mk_private priv_base;
-        mk_private (l.index, idx_base);
-        List.iter
-          (fun (op, name, view) ->
-            let p = fresh_like view in
-            let ident =
-              match (op, view.st) with
-              | Ast.Rsum, Fs _ -> VReal 0.0
-              | Ast.Rsum, _ -> VInt 0
-              | Ast.Rprod, Fs _ -> VReal 1.0
-              | Ast.Rprod, _ -> VInt 1
-              | Ast.Rmax, Fs _ -> VReal neg_infinity
-              | Ast.Rmax, _ -> VInt min_int
-              | Ast.Rmin, Fs _ -> VReal infinity
-              | Ast.Rmin, _ -> VInt max_int
-            in
-            set p [] ident;
-            Hashtbl.replace priv_tbl name p;
-            st_over := (view.st, p) :: !st_over)
-          red_base;
-        let wfr =
-          {
-            fr with
-            overrides = priv_tbl :: fr.overrides;
-            st_overrides = !st_over;
-            in_parallel = true;
-            vars = Hashtbl.copy fr.vars;
-            (* fresh, all-unresolved: privatized names must re-resolve
-               through the override stack, not reuse the parent's cached
-               shared views *)
-            slots = Array.make (Array.length fr.slots) unresolved;
-            fstk = fr.glb.chunk_fstks.(w);
-          }
-        in
-        List.iter (fun (n, _) -> Hashtbl.remove wfr.vars n) priv_base;
-        Hashtbl.remove wfr.vars l.index;
-        List.iter (fun (_, n, _) -> Hashtbl.remove wfr.vars n) red_base;
-        let idx = Hashtbl.find priv_tbl l.index in
-        for k = first to last - 1 do
-          elem_set_i idx 0 (lo + (k * step));
-          run_code fbody wfr
-        done;
-        match merge_mutex with
-        | None -> ()
-        | Some m ->
-            Mutex.protect m (fun () ->
-                List.iter
-                  (fun (op, name, view) ->
-                    let p = Hashtbl.find priv_tbl name in
-                    let cur = get view [] and mine = get p [] in
-                    let merged =
-                      match op with
-                      | Ast.Rsum -> arith Ast.Add cur mine
-                      | Ast.Rprod -> arith Ast.Mul cur mine
-                      | Ast.Rmax ->
-                          if to_float mine > to_float cur then mine else cur
-                      | Ast.Rmin ->
-                          if to_float mine < to_float cur then mine else cur
-                    in
-                    set view [] merged)
-                  red_base)
-      end
-    in
-    (try Pool.parallel_for ~label fr.glb.pool ~chunks:nw worker
-     with Pool.Worker_failure (lbl, e) -> (
-       (* surface the dead worker's exception with the owning loop id,
-          preserving the kinds drivers dispatch on *)
-       match e with
-       | Stop_program _ | Return_exn -> raise e
-       | Trap d ->
-           raise
-             (Trap
-                (Diag.make ?loc:d.Diag.d_loc ~severity:d.Diag.d_severity
-                   Diag.Trap
-                   (Printf.sprintf "%s (in %s)" d.Diag.d_message lbl)))
-       | Runtime_error m -> rerror "%s (in %s)" m lbl
-       | e -> rerror "worker died in %s: %s" lbl (Printexc.to_string e)));
-    elem_set_i idx_base 0 (lo + (niter * step))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Calls                                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* By-value argument snapshot: a fresh scalar view holding the value. *)
-and snapshot_view (value : value) : view =
-  let ty =
-    match value with
-    | VInt _ -> Ast.Integer
-    | VReal _ -> Ast.Double
-    | VBool _ -> Ast.Logical
-    | VStr _ -> Ast.Character
+  (* names the body touches: resolved in the parent before the fork, so
+     workers share its locals instead of each allocating their own *)
+  let touches =
+    Analysis.Usedef.accesses_of_stmts l.body
+    |> List.filter_map (fun (a : Analysis.Usedef.access) ->
+           if
+             Intrinsics.is_intrinsic a.acc_name
+             || Hashtbl.mem env.ce_units a.acc_name
+           then None
+           else Some a.acc_name)
+    |> List.sort_uniq compare |> List.map (resolver env)
   in
-  let view = scalar_view ty in
-  set view [] value;
-  view
-
-(* Compile one actual argument of a CALL into a [caller frame -> view]
-   binder, mirroring [bind_frame]'s dynamic dispatch: by-reference for
-   variables and array elements the caller knows, by-value snapshot
-   otherwise.  The subscript evaluators and the by-value expression are
-   compiled once here instead of on every call. *)
-and compile_binder (env : cenv) (actual : Ast.expr) : frame -> view =
-  let u = env.ce_unit in
-  match actual with
-  | Ast.Var name when not (List.mem_assoc name u.Ast.u_params_const) ->
-      resolver env name
-  | Ast.Array_ref (name, idx) ->
-      let static_array = Ast.is_array u name in
-      let res = resolver env name in
-      let idxc = Array.of_list (List.map (compile_int env) idx) in
-      let n = Array.length idxc in
-      let boxed = eval_boxed env actual in
-      fun fr ->
-        if static_array || Hashtbl.mem fr.vars name then begin
-          let base = res fr in
-          let buf = Array.make n 0 in
-          for k = 0 to n - 1 do
-            buf.(k) <- (Array.unsafe_get idxc k) fr
-          done;
-          { base with off = base.off + offset_of base buf n; dims = [||] }
-        end
-        else snapshot_view (boxed fr)
-  | e ->
-      let boxed = eval_boxed env e in
-      fun fr -> snapshot_view (boxed fr)
-
-and unit_code (fr : frame) (callee : Ast.program_unit) : cstmt array =
-  match Hashtbl.find_opt fr.glb.code_cache callee.u_name with
-  | Some c -> c
-  | None ->
-      let c = compile_stmts (cenv_of fr.glb callee) callee.u_body in
-      Hashtbl.replace fr.glb.code_cache callee.u_name c;
-      c
-
-(* [eval_fr] is the frame used to evaluate actual arguments.  For CALL
-   statements it is the caller itself (statement position: scratch slots
-   are free); for function invocations it must carry a fresh scratch so
-   that argument evaluation cannot clobber the caller's live slots. *)
-(* Per-unit PARAMETER evaluators, compiled once per run during the
-   up-front precompile.  A cache miss (possible only for units outside
-   [program.p_units]) compiles without touching the shared table, which
-   worker domains must not mutate. *)
-and params_const_code (glb : global) (callee : Ast.program_unit) :
-    (string * pconst) list =
-  match Hashtbl.find_opt glb.params_const_cache callee.u_name with
-  | Some l -> l
-  | None ->
-      let env = cenv_of glb callee in
-      List.map (fun (n, e) -> (n, eval_boxed env e)) callee.u_params_const
-
-and bind_frame ?eval_fr ?binders (fr : frame) (callee : Ast.program_unit)
-    (args : Ast.expr list) : frame =
-  let efr = match eval_fr with Some f -> f | None -> fr in
-  let depth = fr.depth + 1 in
-  if depth > fr.glb.max_depth then
-    trap "call depth limit of %d exceeded calling %s; runaway recursion \
-          trapped"
-      fr.glb.max_depth callee.u_name;
-  charge fr 1;
-  let nfr =
-    {
-      glb = fr.glb;
-      unit_ = callee;
-      vars = Hashtbl.create 16;
-      consts = Hashtbl.create 4;
-      slots = Array.make (cenv_of fr.glb callee).ce_nslots unresolved;
-      (* name-keyed overrides stop here: the callee's locals and formals
-         are distinct variables even when they share a privatized name.
-         Privatized COMMON follows the storage via [st_overrides]. *)
-      overrides = [];
-      st_overrides = fr.st_overrides;
-      in_parallel = fr.in_parallel;
-      depth;
-      fstk = fr.fstk;
-    }
+  let slotted name =
+    Option.map
+      (fun s -> (s, resolver env name))
+      (Hashtbl.find_opt cu.cu_slots name)
   in
-  List.iter
-    (fun (n, f) -> Hashtbl.replace nfr.consts n (f nfr))
-    (params_const_code fr.glb callee);
-  if List.length args <> List.length callee.u_params then
-    rerror "call to %s: arity mismatch" callee.u_name;
-  (match binders with
-  | Some bs ->
-      (* precompiled CALL path: each binder already encodes the
-         by-reference / by-value dispatch against the caller's frame *)
-      List.iter2
-        (fun formal b -> Hashtbl.replace nfr.vars formal (b fr))
-        callee.u_params bs
-  | None ->
-      List.iter2
-        (fun formal actual ->
-          let v =
-            match actual with
-            | Ast.Var name when Hashtbl.find_opt fr.consts name = None ->
-                lookup fr name
-            | Ast.Array_ref (name, idx)
-              when Ast.is_array fr.unit_ name
-                   || Hashtbl.find_opt fr.vars name <> None ->
-                let base = lookup fr name in
-                let n = List.length idx in
-                let buf = Array.make n 0 in
-                List.iteri (fun k e -> buf.(k) <- dyn_eval_int efr e) idx;
-                { base with off = base.off + offset_of base buf n; dims = [||] }
-            | e -> snapshot_view ((eval_boxed (cenv_of fr.glb fr.unit_) e) efr)
+  let privs = List.filter_map slotted omp.omp_private in
+  let reds =
+    List.filter_map
+      (fun (op, name) -> Option.map (fun sr -> (op, sr)) (slotted name))
+      omp.omp_reductions
+  in
+  let idx_slot = slot_of cu l.index in
+  fun fr ~lo ~hi ~step ->
+    let niter =
+      if step > 0 then max 0 (((hi - lo) / step) + 1)
+      else max 0 (((lo - hi) / -step) + 1)
+    in
+    if niter > 0 then begin
+      let nw = min fr.glb.threads (max 1 niter) in
+      List.iter (fun res -> ignore (res fr)) touches;
+      let priv_base = List.map (fun (s, res) -> (s, res fr)) privs in
+      let idx_base = res_idx fr in
+      let red_base = List.map (fun (op, (s, res)) -> (op, s, res fr)) reds in
+      let merge_mutex =
+        if red_base = [] then None else Some (Mutex.create ())
+      in
+      let worker w =
+        let per = (niter + nw - 1) / nw in
+        let first = w * per and last = min niter ((w + 1) * per) in
+        if first < last then begin
+          let slots = Array.copy fr.slots in
+          let privatized = ref fr.privatized in
+          let privatize s (orig : view) p =
+            slots.(s) <- p;
+            privatized := (orig.st, p) :: !privatized
           in
-          Hashtbl.replace nfr.vars formal v)
-        callee.u_params args);
-  (* reshape formal arrays per the callee's declarations (adjustable dims
-     evaluated now, with scalar formals already bound) *)
+          List.iter (fun (s, orig) -> privatize s orig (fresh_like orig)) priv_base;
+          privatize idx_slot idx_base (fresh_like idx_base);
+          List.iter
+            (fun (op, s, view) ->
+              let p = fresh_like view in
+              let ident =
+                match (op, view.st) with
+                | Ast.Rsum, Fs _ -> VReal 0.0
+                | Ast.Rsum, _ -> VInt 0
+                | Ast.Rprod, Fs _ -> VReal 1.0
+                | Ast.Rprod, _ -> VInt 1
+                | Ast.Rmax, Fs _ -> VReal neg_infinity
+                | Ast.Rmax, _ -> VInt min_int
+                | Ast.Rmin, Fs _ -> VReal infinity
+                | Ast.Rmin, _ -> VInt max_int
+              in
+              set p [] ident;
+              privatize s view p)
+            red_base;
+          let wfr =
+            {
+              fr with
+              slots;
+              privatized = !privatized;
+              in_parallel = true;
+              fstk = fr.glb.chunk_fstks.(w);
+            }
+          in
+          let idx = slots.(idx_slot) in
+          for k = first to last - 1 do
+            elem_set_i idx 0 (lo + (k * step));
+            run_code fbody wfr
+          done;
+          match merge_mutex with
+          | None -> ()
+          | Some m ->
+              Mutex.protect m (fun () ->
+                  List.iter
+                    (fun (op, s, view) ->
+                      let cur = get view [] and mine = get slots.(s) [] in
+                      let merged =
+                        match op with
+                        | Ast.Rsum -> arith Ast.Add cur mine
+                        | Ast.Rprod -> arith Ast.Mul cur mine
+                        | Ast.Rmax ->
+                            if to_float mine > to_float cur then mine else cur
+                        | Ast.Rmin ->
+                            if to_float mine < to_float cur then mine else cur
+                      in
+                      set view [] merged)
+                    red_base)
+        end
+      in
+      (try Pool.parallel_for ~label fr.glb.pool ~chunks:nw worker
+       with Pool.Worker_failure (lbl, e) -> (
+         (* surface the dead worker's exception with the owning loop id,
+            preserving the kinds drivers dispatch on *)
+         match e with
+         | Stop_program _ | Return_exn -> raise e
+         | Trap d ->
+             raise
+               (Trap
+                  (Diag.make ?loc:d.Diag.d_loc ~severity:d.Diag.d_severity
+                     Diag.Trap
+                     (Printf.sprintf "%s (in %s)" d.Diag.d_message lbl)))
+         | Runtime_error m -> rerror "%s (in %s)" m lbl
+         | e -> rerror "worker died in %s: %s" lbl (Printexc.to_string e)));
+      elem_set_i idx_base 0 (lo + (niter * step))
+    end
+
+(* ------------------------------------------------------------------ *)
+(* Program compilation                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Compile every unit of [program] for one run, duplicates included.  A
+   call binds to the first unit of its name.  Once this returns, no slot
+   is assigned and nothing is compiled: worker domains only read the
+   compiled units. *)
+let compile_program commons (program : Ast.program) :
+    (Ast.program_unit * cunit) list =
+  let cunits = List.map (fun u -> (u, new_cunit u)) program.p_units in
+  let units = Hashtbl.create 16 in
   List.iter
-    (fun formal ->
-      match Ast.find_decl callee formal with
-      | Some d when d.d_dims <> [] ->
-          let base = Hashtbl.find nfr.vars formal in
-          let dims = eval_dims nfr d in
-          Hashtbl.replace nfr.vars formal { base with dims }
-      | _ -> ())
-    callee.u_params;
-  (* constant evaluation or reshaping above may have resolved slots to
-     views that were since rebound in [vars]; drop any cached entries so
-     the body's first access re-resolves against the final bindings *)
-  Array.fill nfr.slots 0 (Array.length nfr.slots) unresolved;
-  nfr
-
-and call_subroutine fr name args =
-  match Ast.find_unit fr.glb.program name with
-  | Some callee when callee.u_kind = Ast.Subroutine ->
-      let nfr = bind_frame fr callee args in
-      let code = unit_code fr callee in
-      (try run_code code nfr with Return_exn -> ())
-  | Some _ -> rerror "CALL to non-subroutine %s" name
-  | None -> rerror "CALL to undefined subroutine %s" name
-
-and call_function fr name args : value =
-  match Ast.find_unit fr.glb.program name with
-  | Some callee -> (
-      match callee.u_kind with
-      | Ast.Function ty ->
-          (* functions are invoked mid-expression: the caller may hold live
-             values in low scratch slots, so both the argument evaluation
-             and the callee body get their own stack *)
-          let fresh = Array.make fstk_size 0.0 in
-          let eval_fr = { fr with fstk = fresh } in
-          let nfr = { (bind_frame ~eval_fr fr callee args) with fstk = fresh } in
-          Hashtbl.replace nfr.vars name (scalar_view ty);
-          let code = unit_code fr callee in
-          (try run_code code nfr with Return_exn -> ());
-          get (Hashtbl.find nfr.vars name) []
-      | _ -> rerror "function call to non-function %s" name)
-  | None -> rerror "call to undefined function %s" name
-
-let () = call_function_ref := call_function
+    (fun ((u : Ast.program_unit), cu) ->
+      if not (Hashtbl.mem units u.u_name) then Hashtbl.replace units u.u_name cu)
+    cunits;
+  List.iter
+    (fun ((u : Ast.program_unit), cu) ->
+      let env = { ce_units = units; ce_cu = cu } in
+      List.iter
+        (fun (d : Ast.decl) ->
+          match Ast.find_decl u d.d_name with
+          | Some first when first == d && d.d_dims <> [] ->
+              let dims =
+                List.map
+                  (function
+                    | Ast.Dim_star ->
+                        fun _ -> 1 (* assumed-size: extent bounded by storage *)
+                    | Ast.Dim_expr e ->
+                        let f = deferred (fun () -> compile_int env e) in
+                        fun fr -> max 0 (f fr))
+                  d.d_dims
+                |> Array.of_list
+              in
+              Hashtbl.replace cu.cu_dims d.d_name (fun fr ->
+                  Array.map (fun f -> f fr) dims)
+          | _ -> ())
+        u.u_decls;
+      cu.cu_code <- compile_stmts env u.u_body;
+      cu.cu_params <-
+        List.map (fun (n, e) -> (slot_of cu n, eval_boxed env e)) u.u_params_const;
+      cu.cu_reshape <-
+        List.filter_map
+          (fun n ->
+            Option.map (fun dims -> (slot_of cu n, dims)) (Hashtbl.find_opt cu.cu_dims n))
+          u.u_params)
+    cunits;
+  List.iter (fun (_, cu) -> cu.cu_fill <- fill_rules commons cu) cunits;
+  cunits
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                                *)
@@ -1394,32 +1261,25 @@ let storage_floats = function
     unspecified — each worker wrote only its own copy while a serial run
     writes the shared storage — so a differential state comparison must
     ignore them.  REDUCTION names are {e not} included: they merge back
-    into shared storage at the join and stay comparable. *)
+    into shared storage and stay comparable. *)
 let private_state_keys (program : Ast.program) : string list =
-  let _, layouts = build_commons program in
-  let keys = Hashtbl.create 8 in
-  List.iter
+  List.concat_map
     (fun (u : Ast.program_unit) ->
-      let layout =
-        Option.value ~default:[] (Hashtbl.find_opt layouts u.Ast.u_name)
-      in
-      List.iter
+      let layout = common_layout u in
+      List.concat_map
         (fun (l : Ast.do_loop) ->
           match l.Ast.parallel with
           | Some omp ->
-              List.iter
+              List.filter_map
                 (fun n ->
-                  match List.assoc_opt n layout with
-                  | Some (blk, pos) ->
-                      Hashtbl.replace keys
-                        (Printf.sprintf "%s/%d" blk pos)
-                        ()
-                  | None -> ())
+                  Option.map
+                    (fun (blk, pos) -> Printf.sprintf "%s/%d" blk pos)
+                    (List.assoc_opt n layout))
                 omp.Ast.omp_private
-          | None -> ())
+          | None -> [])
         (Ast.collect_loops u.Ast.u_body))
-    program.p_units;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) keys [])
+    program.p_units
+  |> List.sort_uniq compare
 
 (** Execute a program's MAIN unit; returns everything it printed plus the
     final contents of every COMMON block (member by member, as floats) --
@@ -1427,25 +1287,19 @@ let private_state_keys (program : Ast.program) : string list =
 let run_program_state ?(threads = 1) ?profile ?fuel
     ?(max_depth = default_max_depth) (program : Ast.program) :
     string * (string * float array) list =
-  let commons, common_layout = build_commons program in
+  let commons = build_commons program in
   let pool = Pool.create threads in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
       let glb =
         {
-          program;
-          commons;
-          common_layout;
           out = Buffer.create 1024;
           out_mutex = Mutex.create ();
           threads;
           pool;
           chunk_fstks =
             Array.init (max 0 threads) (fun _ -> Array.make fstk_size 0.0);
-          code_cache = Hashtbl.create 16;
-          cenvs = Hashtbl.create 16;
-          params_const_cache = Hashtbl.create 16;
           profile;
           fuel =
             Option.map
@@ -1461,45 +1315,18 @@ let run_program_state ?(threads = 1) ?profile ?fuel
         | Some u -> u
         | None -> rerror "program has no MAIN unit"
       in
-      (* precompile every unit up front (MAIN included): code cache, slot
-         tables and PARAMETER evaluators are then read-only, so worker
-         domains may safely invoke (pure) functions concurrently and slot
-         resolution never mutates a shared table mid-run *)
-      List.iter
-        (fun (u : Ast.program_unit) ->
-          let env = make_cenv glb u in
-          Hashtbl.replace glb.code_cache u.Ast.u_name
-            (compile_stmts env u.Ast.u_body);
-          Hashtbl.replace glb.params_const_cache u.Ast.u_name
-            (List.map
-               (fun (n, e) -> (n, eval_boxed env e))
-               u.Ast.u_params_const))
-        program.p_units;
-      Hashtbl.iter (fun _ env -> env.ce_frozen <- true) glb.cenvs;
-      let fr =
+      let main = List.assq main (compile_program commons program) in
+      let root =
         {
           glb;
-          unit_ = main;
-          vars = Hashtbl.create 16;
-          consts = Hashtbl.create 4;
-          slots = Array.make (cenv_of glb main).ce_nslots unresolved;
-          overrides = [];
-          st_overrides = [];
+          slots = [||];
+          privatized = [];
           in_parallel = false;
           depth = 0;
           fstk = Array.make fstk_size 0.0;
         }
       in
-      List.iter
-        (fun (n, f) -> Hashtbl.replace fr.consts n (f fr))
-        (params_const_code glb main);
-      Array.fill fr.slots 0 (Array.length fr.slots) unresolved;
-      let code =
-        match Hashtbl.find_opt glb.code_cache main.u_name with
-        | Some c -> c
-        | None -> compile_stmts (cenv_of glb main) main.u_body
-      in
-      (try run_code code fr with
+      (try run_code main.cu_code (new_frame root main ~depth:0) with
       | Return_exn -> ()
       | Stop_program (Some msg) ->
           Buffer.add_string glb.out ("STOP: " ^ msg ^ "\n")

@@ -3,11 +3,12 @@
 
     Parallel semantics follow the directives emitted by
     {!Parallelizer.Parallelize}: block-partitioned iterations over a
-    persistent {!Pool}, fresh per-worker storage for PRIVATE names
-    (installed as dynamic overrides so callees see the worker's copy of a
-    privatized COMMON variable), identity-seeded per-worker REDUCTION
-    accumulators merged at the join, and sequential execution of nested
-    parallel regions. *)
+    persistent {!Pool}, fresh per-worker storage for PRIVATE names (each
+    worker runs on its own copy of the directive unit's name slots, and
+    callees follow a privatized COMMON variable's storage to the worker's
+    copy), identity-seeded per-worker REDUCTION accumulators merged at the
+    join, and sequential execution of nested parallel regions.  Every unit
+    is compiled before the run starts. *)
 
 exception Stop_program of string option
 (** Raised internally by STOP; [run_program] converts it to output. *)

@@ -7,13 +7,13 @@
 # it must not go up.
 #
 # Usage: scripts/failwith_budget.sh [BUDGET]
-#   BUDGET defaults to $FAILWITH_BUDGET or 15.
+#   BUDGET defaults to $FAILWITH_BUDGET or 13.
 #
 # Exit: 0 within budget, 1 over budget (with a per-file breakdown).
 
 set -eu
 
-budget="${1:-${FAILWITH_BUDGET:-15}}"
+budget="${1:-${FAILWITH_BUDGET:-13}}"
 root="$(dirname "$0")/.."
 
 total=0

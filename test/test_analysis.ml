@@ -271,6 +271,32 @@ let test_sections_broadcast () =
   let u = Sections.run_unit u in
   ci "two loops for rank 2" 2 (List.length (Ast.collect_loops u.u_body))
 
+(* ---------------- by-reference CALL actuals ---------------- *)
+
+(* Fortran passes a bare-variable actual by reference, so normalization
+   must leave it a variable: a callee that writes its formal writes the
+   caller's variable in every configuration. *)
+let test_byref_call_actuals () =
+  let sources =
+    [
+      "      PROGRAM T\n      X = 1.0\n      CALL S(X)\n      WRITE(6,*) X\n      END\n      SUBROUTINE S(Y)\n      Y = Y + 1.0\n      END\n";
+      "      PROGRAM T\n      DIMENSION A(10)\n      DO I = 1, 10\n        K = I\n        CALL S(K)\n        A(I) = K\n      ENDDO\n      WRITE(6,*) A(1), A(10)\n      END\n      SUBROUTINE S(N)\n      INTEGER N\n      N = N * 2\n      END\n";
+    ]
+  in
+  List.iter
+    (fun src ->
+      let expected = run_str src in
+      List.iter
+        (fun mode ->
+          Core.Pipeline.reset_gensyms ();
+          let r, _ = Planner.compile_source ~mode src in
+          Alcotest.(check string)
+            (Core.Pipeline.mode_name mode)
+            expected
+            (Runtime.Interp.run_program r.Core.Pipeline.res_program))
+        Core.Pipeline.[ No_inlining; Conventional; Annotation_based; Demand ])
+    sources
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -296,4 +322,5 @@ let suite =
       ("induction: PCINIT nest", `Quick, test_induction_nested_pcinit);
       ("sections: explicit bounds", `Quick, test_sections_lowering);
       ("sections: broadcast", `Quick, test_sections_broadcast);
+      ("normalize: by-reference CALL actuals", `Quick, test_byref_call_actuals);
     ]

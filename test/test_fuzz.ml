@@ -1,5 +1,6 @@
-(** Fuzz-gate tests: generator determinism and the two corpus
-    invariants (no bare escapes; every directive oracle-validated). *)
+(** Fuzz-gate tests: generator determinism and the corpus invariants
+    (no bare escapes; every directive oracle-validated; a valid program's
+    emitted form prints what the original prints). *)
 
 let test_generator_deterministic () =
   Alcotest.(check string) "same seed, same program" (Fuzz.Gen.source ~seed:11)

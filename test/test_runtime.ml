@@ -161,6 +161,25 @@ let test_parallel_nested_runs_sequential () =
   par_equals_seq
     "      PROGRAM T\n      DIMENSION C(32,32)\n      DO J = 1, 32\n        DO I = 1, 32\n          C(I,J) = I + J * 2\n        ENDDO\n      ENDDO\n      WRITE(6,*) C(32,32)\n      END\n"
 
+(* [program] with a PRIVATE clause listing [names] on every DO loop of
+   unit [uname], placed by hand so the tests can pin privatization itself
+   whatever the parallelizer would emit. *)
+let with_private program uname names =
+  let omp = { Frontend.Ast.omp_private = names; omp_reductions = [] } in
+  let u = Frontend.Ast.find_unit_exn program uname in
+  Frontend.Ast.replace_unit program
+    {
+      u with
+      u_body =
+        Frontend.Ast.map_stmts
+          (fun s ->
+            match s.node with
+            | Frontend.Ast.Do_loop l ->
+                [ { s with node = Do_loop { l with parallel = Some omp } } ]
+            | _ -> [ s ])
+          u.u_body;
+    }
+
 (* A PRIVATE COMMON temporary that only a callee touches is not among the
    loop body's accesses, so nothing resolves it in SUB's fresh frame
    before the fork.  Thousands of 2-iteration forks, each on a new SUB
@@ -192,23 +211,7 @@ let test_parallel_private_common_callee_only () =
       @ List.mapi (fun j t -> Printf.sprintf "      %s = I * K + %d\n" t j) temps
       @ [ "      KACC(I) = KACC(I) + T0 + T39\n"; "      END\n" ])
   in
-  let program = parse src in
-  let omp = { Frontend.Ast.omp_private = temps; omp_reductions = [] } in
-  let sub = Frontend.Ast.find_unit_exn program "SUB" in
-  let program =
-    Frontend.Ast.replace_unit program
-      {
-        sub with
-        u_body =
-          Frontend.Ast.map_stmts
-            (fun s ->
-              match s.node with
-              | Frontend.Ast.Do_loop l ->
-                  [ { s with node = Do_loop { l with parallel = Some omp } } ]
-              | _ -> [ s ])
-            sub.u_body;
-      }
-  in
+  let program = with_private (parse src) "SUB" temps in
   let private_keys = Runtime.Interp.private_state_keys program in
   let run threads =
     let out, state = Runtime.Interp.run_program_state ~threads program in
@@ -223,6 +226,73 @@ let test_parallel_private_common_callee_only () =
       cb (Printf.sprintf "COMMON state at %d threads" threads) true
         (state = seq_state))
     [ 2; 3 ]
+
+(* Privatizing a name in the directive's unit never reaches another
+   unit's variable of that name, while a privatized COMMON member is the
+   worker's copy in every unit that reads it, functions included.  The
+   directive program must print what the original prints and leave the
+   same non-private COMMON state, at every thread count. *)
+let test_parallel_private_names_stay_in_unit () =
+  let main body =
+    "      PROGRAM PRIV\n      COMMON /R/ OUT(8), W(8)\n      COMMON /P/ T1\n\
+    \      DO I = 1, 8\n" ^ body
+    ^ "      ENDDO\n      WRITE(6,*) OUT(1), OUT(8), W(1), W(8)\n      END\n"
+  in
+  let cases =
+    [
+      (* a callee formal, a callee local and a FUNCTION local named T *)
+      ( [ "T" ],
+        main
+          "        T = I * 2.0\n        OUT(I) = 0.0\n        CALL S(OUT(I), I)\n\
+          \        CALL S2(I)\n        OUT(I) = OUT(I) + T + F(I)\n"
+        ^ "      SUBROUTINE S(T, K)\n      T = T + K\n      END\n\
+          \      SUBROUTINE S2(K)\n      COMMON /R/ OUT(8), W(8)\n\
+          \      T = K * 3.0\n      W(K) = T\n      END\n\
+          \      REAL FUNCTION F(K)\n      T = K * 0.25\n      F = T + 1.0\n\
+          \      END\n" );
+      (* a privatized COMMON scalar read through a FUNCTION *)
+      ( [ "T1" ],
+        main "        T1 = I + 0.5\n        OUT(I) = G(I)\n        W(I) = T1\n"
+        ^ "      REAL FUNCTION G(K)\n      COMMON /P/ T1\n      G = T1 * K\n\
+          \      END\n" );
+      (* a PRIVATE name no unit declares or mentions, like TRFD's TSUM *)
+      ( [ "T"; "TSUM" ],
+        main "        T = I * 2.0\n        OUT(I) = T\n        CALL S2(I)\n"
+        ^ "      SUBROUTINE S2(K)\n      COMMON /R/ OUT(8), W(8)\n\
+          \      W(K) = K\n      END\n" );
+    ]
+  in
+  List.iter
+    (fun (names, src) ->
+      let original = parse src in
+      let program = with_private original "PRIV" names in
+      let private_keys = Runtime.Interp.private_state_keys program in
+      let shared state =
+        List.filter (fun (k, _) -> not (List.mem k private_keys)) state
+      in
+      let out, state = Runtime.Interp.run_program_state original in
+      List.iter
+        (fun threads ->
+          let out', state' =
+            Runtime.Interp.run_program_state ~threads program
+          in
+          let what = Printf.sprintf "PRIVATE(%s) at %d threads"
+              (String.concat "," names) threads in
+          cs (what ^ ": output") out out';
+          cb (what ^ ": COMMON state") true (shared state = shared state'))
+        [ 1; 2; 3 ])
+    cases
+
+(* PARAMETERs are bound when the frame is made: a logical one reads its
+   value, and a FUNCTION's REAL one evaluates on the function's own
+   scratch stack, not over the caller's half-evaluated expression. *)
+let test_parameters () =
+  expect
+    "      PROGRAM T\n      LOGICAL ON\n      PARAMETER (ON = .TRUE.)\n\
+    \      X = 2.0 + F(1.0)\n      IF (ON) WRITE(6,*) X\n      END\n\
+    \      REAL FUNCTION F(Y)\n      PARAMETER (P = 3.0)\n      F = Y + P\n\
+    \      END\n"
+    "6\n"
 
 let test_pool_parallel_for () =
   let pool = Runtime.Pool.create 4 in
@@ -354,4 +424,8 @@ let suite =
     ("pool: workers take chunks", `Quick, test_pool_worker_takes_chunks);
     ("pool: concurrent callers", `Quick, test_pool_concurrent_callers);
     ("pool: shutdown while spinning", `Quick, test_pool_shutdown_while_spinning);
+    ( "parallel: PRIVATE names stay in their unit",
+      `Quick,
+      test_parallel_private_names_stay_in_unit );
+    ("interp: PARAMETERs", `Quick, test_parameters);
   ]
